@@ -32,8 +32,10 @@ import (
 //	.require stage2 o 100         ; required arrival at endpoint stage2/o
 //	.end
 //
-// Everything between .net and .endnet is an ordinary single-net deck and is
-// parsed by Parse; stage delays and require times accept SPICE suffixes.
+// Everything between .net and .endnet is an ordinary single-net deck, read
+// with the same cards and checks as Parse; stage delays and require times
+// accept SPICE suffixes. An error inside a net names the net and its .net
+// line, and cites the offending card by its line in the whole deck.
 type Design struct {
 	// Name is the .design label, "" if absent.
 	Name string
@@ -84,52 +86,47 @@ func (d *Design) Net(name string) *DesignNet {
 // timing graph is built from it).
 func ParseDesign(src string) (*Design, error) {
 	d := &Design{}
+	s := scanner{src: src}
 	var (
-		curName string // net being collected, "" at top level
-		curDeck strings.Builder
+		net     deck   // the net being collected
+		curName string // its name, "" at top level
 		netLine int
+		// netErr is the net's first bad card. It is held until .endnet,
+		// so a nested .net or a missing .endnet is reported instead.
+		netErr error
 	)
-	seenNets := map[string]int{}
-	finishNet := func() error {
-		tree, err := Parse(curDeck.String())
-		if err != nil {
-			return fmt.Errorf("netlist: design net %q (line %d): %w", curName, netLine, err)
-		}
-		d.Nets = append(d.Nets, DesignNet{Name: curName, Tree: tree})
-		curName = ""
-		curDeck.Reset()
-		return nil
-	}
-	for lineNo, raw := range strings.Split(src, "\n") {
-		no := lineNo + 1
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "*") {
-			continue
-		}
-		fields := strings.Fields(line)
-		head := strings.ToUpper(fields[0])
+	net.reset()
+	index := map[string]int{} // net name -> index in d.Nets
+	var netLines []int
+	for s.next() {
+		fields, no := s.fields, s.line
+		k := classify(fields[0])
 		if curName != "" {
 			// Inside a net section: .endnet closes it, everything else is
-			// deck content for the inner parser.
-			if head == ".ENDNET" {
-				if err := finishNet(); err != nil {
-					return nil, err
+			// one of the net's cards.
+			switch k {
+			case cardEndnet:
+				var tree *rctree.Tree
+				if netErr == nil {
+					tree, netErr = net.build()
 				}
-				continue
-			}
-			if head == ".NET" {
+				if netErr != nil {
+					return nil, fmt.Errorf("netlist: design net %q (line %d): %w", curName, netLine, netErr)
+				}
+				d.Nets = append(d.Nets, DesignNet{Name: curName, Tree: tree})
+				curName = ""
+				net.reset()
+			case cardNet:
 				return nil, fmt.Errorf("netlist: line %d: .net inside net %q (missing .endnet)", no, curName)
+			default:
+				if netErr == nil {
+					netErr = net.card(fields, no, k)
+				}
 			}
-			curDeck.WriteString(raw)
-			curDeck.WriteByte('\n')
 			continue
 		}
-		switch head {
-		case ".DESIGN":
+		switch k {
+		case cardDesign:
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("netlist: line %d: .design takes exactly one name", no)
 			}
@@ -137,18 +134,19 @@ func ParseDesign(src string) (*Design, error) {
 				return nil, fmt.Errorf("netlist: line %d: duplicate .design (already %q)", no, d.Name)
 			}
 			d.Name = fields[1]
-		case ".NET":
+		case cardNet:
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("netlist: line %d: .net takes exactly one name", no)
 			}
-			if prev, dup := seenNets[fields[1]]; dup {
-				return nil, fmt.Errorf("netlist: line %d: net %q already defined at line %d", no, fields[1], prev)
+			if prev, dup := index[fields[1]]; dup {
+				return nil, fmt.Errorf("netlist: line %d: net %q already defined at line %d", no, fields[1], netLines[prev])
 			}
-			seenNets[fields[1]] = no
+			index[fields[1]] = len(netLines)
+			netLines = append(netLines, no)
 			curName, netLine = fields[1], no
-		case ".ENDNET":
+		case cardEndnet:
 			return nil, fmt.Errorf("netlist: line %d: .endnet without .net", no)
-		case ".STAGE":
+		case cardStage:
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("netlist: line %d: stage card needs '.stage fromNet output toNet delay'", no)
 			}
@@ -162,7 +160,7 @@ func ParseDesign(src string) (*Design, error) {
 			d.Stages = append(d.Stages, Stage{
 				FromNet: fields[1], FromOutput: fields[2], ToNet: fields[3], Delay: delay,
 			})
-		case ".REQUIRE":
+		case cardRequire:
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("netlist: line %d: require card needs '.require net output time'", no)
 			}
@@ -171,7 +169,7 @@ func ParseDesign(src string) (*Design, error) {
 				return nil, fmt.Errorf("netlist: line %d: %w", no, err)
 			}
 			d.Requires = append(d.Requires, Require{Net: fields[1], Output: fields[2], Time: t})
-		case ".END":
+		case cardEnd:
 			// terminator, accepted anywhere at top level
 		default:
 			return nil, fmt.Errorf("netlist: line %d: unrecognized design card %q (element cards belong inside .net/.endnet)", no, fields[0])
@@ -183,32 +181,33 @@ func ParseDesign(src string) (*Design, error) {
 	if len(d.Nets) == 0 {
 		return nil, fmt.Errorf("netlist: design has no nets")
 	}
-	if err := d.validate(); err != nil {
+	if err := d.validate(index); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// validate resolves every stage and require against the declared nets.
-func (d *Design) validate() error {
+// validate resolves every stage and require against the declared nets,
+// looked up through index (net name -> index in d.Nets).
+func (d *Design) validate(index map[string]int) error {
 	for i, s := range d.Stages {
-		from := d.Net(s.FromNet)
-		if from == nil {
+		from, ok := index[s.FromNet]
+		if !ok {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.FromNet)
 		}
-		if d.Net(s.ToNet) == nil {
+		if _, ok := index[s.ToNet]; !ok {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.ToNet)
 		}
-		if !hasOutput(from.Tree, s.FromOutput) {
+		if !hasOutput(d.Nets[from].Tree, s.FromOutput) {
 			return fmt.Errorf("netlist: stage %d: %q is not a designated output of net %q", i+1, s.FromOutput, s.FromNet)
 		}
 	}
 	for i, r := range d.Requires {
-		net := d.Net(r.Net)
-		if net == nil {
+		net, ok := index[r.Net]
+		if !ok {
 			return fmt.Errorf("netlist: require %d references unknown net %q", i+1, r.Net)
 		}
-		if !hasOutput(net.Tree, r.Output) {
+		if !hasOutput(d.Nets[net].Tree, r.Output) {
 			return fmt.Errorf("netlist: require %d: %q is not a designated output of net %q", i+1, r.Output, r.Net)
 		}
 	}

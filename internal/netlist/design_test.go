@@ -148,3 +148,38 @@ func TestWriteDesignRoundTrip(t *testing.T) {
 		t.Errorf("writer not canonical:\n%s\nvs\n%s", deck, again)
 	}
 }
+
+// TestParseDesignErrorLines pins the line an error inside a net cites: its
+// line in the whole deck, counting the comments and blank lines before it.
+func TestParseDesignErrorLines(t *testing.T) {
+	const head = ".design d\n" + // 1
+		".net a\n" + // 2
+		"* leading comment\n" + // 3
+		"\n" + // 4
+		".input in\n" + // 5
+		"R1 in o 1\n" + // 6
+		"; comment only\n" + // 7
+		"C1 o 0 1\n" // 8
+	cases := []struct {
+		name, src, want string
+	}{
+		{"bad card", head + "R2 o p\n.endnet\n",
+			`netlist: design net "a" (line 2): netlist: line 9: resistor card needs 'Rname a b value'`},
+		{"duplicate element", head + "\n\nC1 p 0 1\n.endnet\n",
+			`netlist: design net "a" (line 2): netlist: line 11: element C1 already defined at line 8`},
+		{"loop", head + "R2 o p 1\n   \nR3 p in 1\n.endnet\n",
+			`netlist: design net "a" (line 2): netlist: line 9: element R2 closes a resistive loop at node "p"; the network is not a tree`},
+		{"floating cap", head + "C2 q 0 1\n.output o\n.endnet\n",
+			`netlist: design net "a" (line 2): netlist: line 9: capacitor node "q" is not connected to the tree`},
+		{"second net", head + ".output o\n.endnet\n* between\n.net b\n\nX1 in o 1\n.endnet\n",
+			`netlist: design net "b" (line 12): netlist: line 14: unrecognized card "X1"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseDesign(tc.src)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("error %v\nwant  %s", err, tc.want)
+			}
+		})
+	}
+}

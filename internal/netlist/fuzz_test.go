@@ -62,10 +62,9 @@ func wideStageFanoutDesign(n int) string {
 	return b.String()
 }
 
-// FuzzParse asserts the parser never panics and that any deck it accepts
-// survives a Write→Parse round trip with characteristic times intact.
-func FuzzParse(f *testing.F) {
-	seeds := []string{
+// parseSeeds is the single-net fuzz corpus.
+func parseSeeds() []string {
+	return []string{
 		fig7Deck,
 		"",
 		"* comment only\n",
@@ -80,7 +79,12 @@ func FuzzParse(f *testing.F) {
 		deepChainDeck(80),
 		wideFanoutDeck(60),
 	}
-	for _, s := range seeds {
+}
+
+// FuzzParse asserts the parser never panics and that any deck it accepts
+// survives a Write→Parse round trip with characteristic times intact.
+func FuzzParse(f *testing.F) {
+	for _, s := range parseSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -124,11 +128,9 @@ func floatsClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*scale
 }
 
-// FuzzParseDesign asserts the multi-net parser never panics and that any
-// design it accepts survives a WriteDesign→ParseDesign round trip: same
-// shape, same stages and requires, and per-net characteristic times intact.
-func FuzzParseDesign(f *testing.F) {
-	seeds := []string{
+// designSeeds is the multi-net fuzz corpus.
+func designSeeds() []string {
+	return []string{
 		"",
 		".net a\nR1 in o 1\nC1 o 0 2\n.output o\n.endnet\n",
 		".design d\n.net a\n" + fig7Deck + "\n.endnet\n.net b\nU1 in far 3 4\nC1 far 0 1\n.output far\n.endnet\n.stage a n2 b 2.5\n.require b far 100\n.end\n",
@@ -145,7 +147,13 @@ func FuzzParseDesign(f *testing.F) {
 		deepStageChainDesign(24),
 		wideStageFanoutDesign(24),
 	}
-	for _, s := range seeds {
+}
+
+// FuzzParseDesign asserts the multi-net parser never panics and that any
+// design it accepts survives a WriteDesign→ParseDesign round trip: same
+// shape, same stages and requires, and per-net characteristic times intact.
+func FuzzParseDesign(f *testing.F) {
+	for _, s := range designSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -248,13 +256,20 @@ func FuzzArenaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzParseValue: no panics, and suffix math stays finite for finite input.
+// FuzzParseValue: no panics, suffix math stays finite for finite input,
+// and the digit-ending fast path agrees with the oracle's suffix chain bit
+// for bit, errors included.
 func FuzzParseValue(f *testing.F) {
-	for _, s := range []string{"1", "1.5k", "2meg", "-3u", "4n", "x", "1e309", "0.1f", ""} {
+	for _, s := range []string{"1", "1.5k", "2meg", "-3u", "4n", "x", "1e309", "0.1f", "",
+		" 2.5 ", "1E3", "0x1p-2", "5.", "-0", "1_000", "inf", "+Inf", "nan", "1e-400", "\u212a1", "７"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		v, err := ParseValue(s)
+		ov, oerr := oracleParseValue(s)
+		if msg := errDiff(err, oerr); msg != "" || !sameBits(v, ov) {
+			t.Fatalf("ParseValue(%q) = %v, %v; oracle %v, %v", s, v, err, ov, oerr)
+		}
 		if err != nil {
 			return
 		}

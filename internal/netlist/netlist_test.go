@@ -281,3 +281,23 @@ func TestCapacitorOnlyDeck(t *testing.T) {
 		t.Error("ghost output accepted")
 	}
 }
+
+// TestFloatingCapErrorDeterministic: with several floating capacitors the
+// error names the first one by source line, every time.
+func TestFloatingCapErrorDeterministic(t *testing.T) {
+	deck := ".input a\nR1 a b 1\nC1 b 0 1\nC2 x 0 3\nC3 y 0 3\nC4 z 0 3\nC5 w 0 3\n"
+	const want = `netlist: line 4: capacitor node "x" is not connected to the tree`
+	for i := 0; i < 100; i++ {
+		_, err := Parse(deck)
+		if err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %q", i, err, want)
+		}
+	}
+	// The capacitor-only form checks its nodes in the same order.
+	for i := 0; i < 100; i++ {
+		_, err := Parse(".input a\nC1 a 0 1\nC2 x 0 3\nC3 y 0 3\nC4 z 0 3\n")
+		if want := `netlist: line 3: capacitor node "x" is not connected to the tree`; err == nil || err.Error() != want {
+			t.Fatalf("capacitor-only parse %d: error %v, want %q", i, err, want)
+		}
+	}
+}

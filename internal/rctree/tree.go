@@ -11,6 +11,8 @@ package rctree
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -258,6 +260,18 @@ func NewBuilder(inputName string) *Builder {
 	return b
 }
 
+// Grow reserves room for n more nodes, so a caller that knows the tree's
+// size up front adds them without reallocating.
+func (b *Builder) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	b.nodes = slices.Grow(b.nodes, n)
+	byName := make(map[string]NodeID, len(b.byName)+n)
+	maps.Copy(byName, b.byName)
+	b.byName = byName
+}
+
 func (b *Builder) errf(format string, args ...any) NodeID {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 	return Root
@@ -275,7 +289,6 @@ func (b *Builder) addNode(parent NodeID, name string, kind EdgeKind, r, c float6
 	}
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, node{name: name, parent: parent, kind: kind, edgeR: r, edgeC: c})
-	b.nodes[parent].children = append(b.nodes[parent].children, id)
 	b.byName[name] = id
 	return id
 }
@@ -349,6 +362,7 @@ func (b *Builder) Build() (*Tree, error) {
 		sort.Strings(msgs)
 		return nil, fmt.Errorf("rctree: invalid tree: %s", strings.Join(msgs, "; "))
 	}
+	linkChildren(b.nodes)
 	t := &Tree{nodes: b.nodes, outputs: b.outputs, byName: b.byName}
 	if len(t.outputs) == 0 {
 		for i := range t.nodes {
@@ -361,6 +375,30 @@ func (b *Builder) Build() (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// linkChildren fills every node's children list from the parent links, all
+// lists sharing one array. Ids ascend in creation order, so each list is in
+// the order its children were added.
+func linkChildren(nodes []node) {
+	count := make([]int32, len(nodes)+1)
+	for i := 1; i < len(nodes); i++ {
+		count[nodes[i].parent+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	kids := make([]NodeID, max(len(nodes)-1, 0))
+	for i := range nodes {
+		nodes[i].children = nil
+		if lo, hi := count[i], count[i+1]; lo < hi {
+			nodes[i].children = kids[lo:lo:hi]
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		p := nodes[i].parent
+		nodes[p].children = append(nodes[p].children, NodeID(i))
+	}
 }
 
 // Validate checks the structural invariants of the tree: a single root at

@@ -7,8 +7,10 @@
 #                           propagation kernel under its three schedules,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
-#                           and the corner sweep's in-place arena rescale vs
-#                           per-sample netlist rebuild
+#                           the corner sweep's in-place arena rescale vs
+#                           per-sample netlist rebuild, and the design deck
+#                           parser (median of 5 runs with min/max, bytes and
+#                           allocations per parse)
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
 #                           timing (via scripts/serve_smoke.sh)
@@ -88,6 +90,12 @@ $(run_timing "$maxprocs")"
 else
     echo "bench_trajectory: single-core machine, skipping the all-cores run" >&2
 fi
+# The deck parser is sequential, so it runs at one P only, five times: its
+# entry records the median with the min/max spread.
+raw="$raw
+GOMAXPROCS 1
+$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkParseDesign' -benchmem \
+    -benchtime "$timing_benchtime" -count 5 ./internal/netlist/)"
 echo "$raw"
 printf '%s\n' "$raw" | awk -v date="$date" -v goversion="$goversion" -v maxprocs="$maxprocs" '
 $1 == "GOMAXPROCS" { mp = $2; if (mp > maxmp) maxmp = mp; next }
@@ -97,7 +105,21 @@ $1 == "GOMAXPROCS" { mp = $2; if (mp > maxmp) maxmp = mp; next }
     sub(/^Benchmark/, "", name)
     key = name "@" mp
     if (!(key in ns)) { order[n++] = key; bname[key] = name; bmp[key] = mp }
-    ns[key] = $3
+    for (i = 3; i < NF; i++) {
+        if ($(i+1) == "ns/op") sample[key, cnt[key]++] = $i + 0
+        if ($(i+1) == "B/op") bytes[key] = $i
+        if ($(i+1) == "allocs/op") allocs[key] = $i
+    }
+    ns[key] = median(key)
+}
+# median sorts the samples of key in place and returns their median.
+function median(key,    i, j, c, t) {
+    c = cnt[key]
+    for (i = 1; i < c; i++)
+        for (j = i; j > 0 && sample[key, j-1] > sample[key, j]; j--) {
+            t = sample[key, j]; sample[key, j] = sample[key, j-1]; sample[key, j-1] = t
+        }
+    return c % 2 ? sample[key, (c-1)/2] : (sample[key, c/2-1] + sample[key, c/2]) / 2
 }
 # speedup queues one ratio line if both measurements exist.
 function speedup(label, num, den) {
@@ -114,8 +136,14 @@ END {
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
         k = order[i]
-        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"ns_per_op\": %s}%s\n", \
-            bname[k], bmp[k], ns[k], (i < n-1 ? "," : "")
+        extra = ""
+        if (cnt[k] > 1)
+            extra = sprintf(", \"ns_min\": %s, \"ns_max\": %s, \"count\": %d", \
+                sample[k, 0], sample[k, cnt[k]-1], cnt[k])
+        if (k in allocs)
+            extra = extra sprintf(", \"bytes_per_op\": %s, \"allocs_per_op\": %s", bytes[k], allocs[k])
+        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"ns_per_op\": %s%s}%s\n", \
+            bname[k], bmp[k], ns[k], extra, (i < n-1 ? "," : "")
     }
     printf "  ],\n"
     speedup("arena_vs_pointer_sequential", "DesignSlack/pointer-sequential@1", "DesignSlack/arena-sequential@1")
