@@ -60,7 +60,7 @@ func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdel
 	if ds.wlog == nil || len(edits) == 0 {
 		return nil
 	}
-	if err := ds.wlog.AppendCtx(ctx, edits); err != nil {
+	if err := ds.wlog.Append(ctx, edits); err != nil {
 		return err
 	}
 	if s.snapEvery > 0 && ds.wlog.Pending() >= s.snapEvery {
@@ -76,7 +76,7 @@ func (s *server) walSnapshotLocked(ctx context.Context, ds *designSession) error
 	if err != nil {
 		return fmt.Errorf("materialize: %w", err)
 	}
-	return ds.wlog.RotateCtx(ctx, rcdelay.WriteDesign(d), ds.edits)
+	return ds.wlog.Rotate(ctx, rcdelay.WriteDesign(d), ds.edits)
 }
 
 // snapshotAll snapshots every live design with pending WAL edits; the
@@ -172,7 +172,7 @@ func (s *server) recoverDesign(ctx context.Context, id string) (*entry[*designSe
 // ParseDesign/NewDesignSession, then the log tail through Apply — and
 // inserts the session under its original id, pinned.
 func (s *server) rebuildDesign(ctx context.Context, id string) (*entry[*designSession], bool) {
-	rec, l, err := s.wal.RecoverCtx(ctx, id)
+	rec, l, err := s.wal.Recover(ctx, id)
 	if err != nil {
 		s.logger.Error("rcserve: design recovery", "id", id, "err", err)
 		return nil, false

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
 	"repro/internal/timing"
@@ -36,16 +35,14 @@ func benchDesign(b *testing.B) (*netlist.Design, float64) {
 // BenchmarkClosure times the repair loop end to end — candidate generation,
 // what-if trials, accept, re-report — with trial evaluation sequential vs
 // fanned across the worker pool. The session mount is paid outside the
-// timer (a shared warm batch engine serves the per-net bounds), so the
-// ratio isolates the trial-evaluation concurrency win.
+// timer, so the ratio isolates the trial-evaluation concurrency win.
 // scripts/bench_trajectory.sh records it in BENCH_timing.json as
 // closure_concurrent_vs_sequential.
 func BenchmarkClosure(b *testing.B) {
 	d, required := benchDesign(b)
-	engine := batch.New(batch.Options{})
 	// K < 0 skips critical-path backtracking in the per-iteration reports —
 	// the repair loop only consumes the endpoint table.
-	topt := timing.Options{Threshold: 0.7, Required: required, Engine: engine, K: -1}
+	topt := timing.Options{Threshold: 0.7, Required: required, K: -1}
 	run := func(b *testing.B, o Options) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {

@@ -1,8 +1,7 @@
 // Package obs is the repository's zero-dependency telemetry layer: a
 // metrics registry (counters, gauges, fixed-bucket histograms with
-// p50/p95/p99 snapshots) and lightweight span tracing, threaded through the
-// timing core, the closure engine, the batch pool, and the rcserve HTTP
-// surface.
+// p50/p95/p99 snapshots), threaded through the timing core, the closure
+// engine, the batch pool, and the rcserve HTTP surface.
 //
 // # Registry
 //
@@ -22,25 +21,22 @@
 //
 // # Nil safety
 //
-// Every method on a nil *Registry, *Counter, *Gauge, *Histogram, or *Span is
-// a cheap no-op. Engine code therefore threads an optional registry without
-// guarding call sites:
+// Every method on a nil *Registry, *Counter, *Gauge, or *Histogram is a
+// cheap no-op. Engine code therefore threads an optional registry without
+// guarding call sites; phases time themselves through trace.StartOp, which
+// observes "<name>_seconds{labels}" on the registry (and opens a trace span)
+// only when one is enabled:
 //
 //	var reg *obs.Registry // nil: telemetry disabled
-//	sp := obs.StartSpan(reg, "timing_propagate", "sched", "worksteal")
+//	ctx, op := trace.StartOp(ctx, reg, "timing_propagate", "sched", "worksteal")
 //	... hot work ...
-//	sp.End() // records into timing_propagate_seconds only when enabled
+//	op.End() // records into timing_propagate_seconds only when enabled
 //
-// BenchmarkArenaPropagationObs in internal/timing pins the disabled path to
-// <2% overhead over the bare kernel; scripts/bench_trajectory.sh records the
-// ratio as metrics_overhead in BENCH_timing.json.
-//
-// # Spans
-//
-// StartSpan/End is deliberately minimal tracing: one monotonic timestamp at
-// start, one histogram observation at end, labels carried through. Phases of
-// the engine (arena build, levelize, propagation per scheduler, dirty-cone
-// re-propagation, closure rounds) each wrap themselves in a span, so
+// Engine phases (arena build, levelize, propagation per schedule, dirty-cone
+// re-propagation, closure rounds) each wrap themselves that way, so
 // GET /metrics exposes per-phase duration distributions without any
-// collector infrastructure.
+// collector infrastructure. BenchmarkArenaPropagationObs in internal/timing
+// pins the disabled path to <2% overhead over the bare kernel;
+// scripts/bench_trajectory.sh records the ratio as metrics_overhead in
+// BENCH_timing.json.
 package obs

@@ -59,14 +59,6 @@ func TestNilSafety(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatalf("nil histogram snapshot count = %d", s.Count)
 	}
-	sp := StartSpan(nil, "phase")
-	sp.End()
-	if sp != nil {
-		t.Fatal("span on nil registry must be nil")
-	}
-	if sp.Elapsed() != 0 {
-		t.Fatal("nil span elapsed must be 0")
-	}
 }
 
 // TestWritePrometheusGolden pins the exposition format byte-for-byte:
@@ -158,22 +150,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	h4.Observe(math.NaN())
 	if got := h4.Snapshot().Count; got != 0 {
 		t.Fatalf("NaN observation recorded: count = %d", got)
-	}
-}
-
-func TestSpanRecords(t *testing.T) {
-	reg := NewRegistry()
-	sp := StartSpan(reg, "phase", "kind", "test")
-	if sp.Elapsed() < 0 {
-		t.Fatal("elapsed went backwards")
-	}
-	sp.End()
-	s := reg.Histogram("phase_seconds", LatencyBuckets, "kind", "test").Snapshot()
-	if s.Count != 1 {
-		t.Fatalf("span recorded %d observations, want 1", s.Count)
-	}
-	if s.Sum < 0 {
-		t.Fatalf("span sum negative: %v", s.Sum)
 	}
 }
 

@@ -121,7 +121,8 @@ func newDesignArena(g *Graph) (*designArena, error) {
 	}
 	a.outOff[nets] = int32(len(a.outLocal))
 	// Fanin and fanout CSR, preserving the graph's edge order so the worst
-	// fanin index and the hull accumulation order match the pointer core.
+	// fanin index and the hull accumulation order match a Session's
+	// gatherInput.
 	a.finOff = make([]int32, nets+1)
 	a.foutOff = make([]int32, nets+1)
 	for i := range g.nodes {

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/rctree"
 	"repro/internal/randnet"
+	"repro/internal/rctree"
 )
 
 func hammerDesign(t *testing.T, seed int64, levels, width, nodes int) *Graph {
@@ -25,7 +25,8 @@ func hammerDesign(t *testing.T, seed int64, levels, width, nodes int) *Graph {
 }
 
 // TestWorkStealAnalyzeRaceHammer slams one shared Graph with concurrent
-// work-stealing analyses (plus level-barrier and sequential interlopers).
+// work-stealing analyses at many worker counts (plus sequential
+// interlopers), some above the design's widest level.
 // Every goroutine must reproduce the baseline report bit for bit; run under
 // -race this doubles as the scheduler's memory-visibility proof.
 func TestWorkStealAnalyzeRaceHammer(t *testing.T) {
@@ -43,9 +44,9 @@ func TestWorkStealAnalyzeRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			opt := Options{Threshold: 0.6, Required: 500, Scheduler: SchedWorkSteal, Workers: 1 + w%5}
+			opt := Options{Threshold: 0.6, Required: 500, Workers: 1 + w%5}
 			if w%3 == 1 {
-				opt.Scheduler = SchedLevelBarrier
+				opt.Workers = 6 + w
 			}
 			for it := 0; it < iters; it++ {
 				rep, err := g.Analyze(ctx, opt)
@@ -139,7 +140,7 @@ func TestArenaPropagateSeqZeroAlloc(t *testing.T) {
 
 // TestArenaPropScratchReuse checks that a propagation scratch recycled across
 // runs (the benchmark/server steady state) keeps producing results identical
-// to a fresh sequential pass, for both parallel schedulers.
+// to a fresh sequential pass, at two worker counts.
 func TestArenaPropScratchReuse(t *testing.T) {
 	g := hammerDesign(t, 31, 4, 2, 16)
 	da, err := g.arena()
@@ -150,30 +151,30 @@ func TestArenaPropScratchReuse(t *testing.T) {
 	if err := da.propagateSeq(context.Background(), want, 0.55, &rctree.Scratch{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{SchedLevelBarrier, SchedWorkSteal} {
-		ps := da.newPropScratch(4)
+	for _, workers := range []int{2, 4} {
+		ps := da.newPropScratch(workers)
 		st := da.newState()
 		for run := 0; run < 3; run++ {
-			if err := da.propagate(context.Background(), st, 0.55, sched, 4, ps); err != nil {
+			if err := da.propagate(context.Background(), st, 0.55, workers, ps); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(st, want) {
-				t.Fatalf("scheduler %d run %d: reused-scratch state diverged", sched, run)
+				t.Fatalf("%d workers run %d: reused-scratch state diverged", workers, run)
 			}
 		}
 	}
 }
 
 // TestArenaAnalyzeCanceled verifies the arena paths honor context
-// cancellation for every scheduler.
+// cancellation, sequential and work-stealing.
 func TestArenaAnalyzeCanceled(t *testing.T) {
 	g := hammerDesign(t, 13, 4, 2, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := []Options{
 		{Threshold: 0.5, Sequential: true},
-		{Threshold: 0.5, Scheduler: SchedLevelBarrier, Workers: 2},
-		{Threshold: 0.5, Scheduler: SchedWorkSteal, Workers: 2},
+		{Threshold: 0.5, Workers: 2},
+		{Threshold: 0.5, Workers: 4},
 	}
 	for i, opt := range opts {
 		if _, err := g.Analyze(ctx, opt); err == nil {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/incr"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -15,20 +14,12 @@ import (
 )
 
 // BenchmarkDesignSlack measures chip-level slack computation on a generated
-// 6-level × 40-net design (240 nets), across both compute cores:
+// 6-level × 40-net design (240 nets):
 //
 //   - arena-sequential: the flat SoA/CSR arena on one goroutine — the
 //     production default when GOMAXPROCS is 1;
-//   - arena-worksteal / arena-levelbarrier: the arena's two parallel
-//     schedules (work-stealing is the production default on multicore);
-//   - pointer-sequential: the original pointer-tree core, one net at a time —
-//     the baseline the arena_vs_pointer_sequential speedup in
-//     BENCH_timing.json is computed against;
-//   - pointer-parallel: the pointer core fanned across the batch pool with
-//     content-hash memoization warm after the first iteration;
-//   - pointer-parallel-nocache: the same fan-out paying the full per-net
-//     analysis every iteration, so the gap to pointer-sequential is purely
-//     the level sharding (only wins wall-clock when GOMAXPROCS > 1).
+//   - arena-worksteal: the work-stealing parallel schedule across
+//     GOMAXPROCS workers, the production default on multicore.
 func BenchmarkDesignSlack(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -52,45 +43,17 @@ func BenchmarkDesignSlack(b *testing.B) {
 
 	b.Run("arena-sequential", func(b *testing.B) {
 		o := opt
-		o.Core = CoreArena
 		o.Sequential = true
 		run(b, o)
 	})
-	b.Run("arena-worksteal", func(b *testing.B) {
-		o := opt
-		o.Core = CoreArena
-		o.Scheduler = SchedWorkSteal
-		run(b, o)
-	})
-	b.Run("arena-levelbarrier", func(b *testing.B) {
-		o := opt
-		o.Core = CoreArena
-		o.Scheduler = SchedLevelBarrier
-		run(b, o)
-	})
-	b.Run("pointer-sequential", func(b *testing.B) {
-		o := opt
-		o.Core = CorePointer
-		o.Sequential = true
-		run(b, o)
-	})
-	b.Run("pointer-parallel", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{})
-		run(b, o)
-	})
-	b.Run("pointer-parallel-nocache", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{CacheSize: -1})
-		run(b, o)
-	})
+	b.Run("arena-worksteal", func(b *testing.B) { run(b, opt) })
 }
 
 // BenchmarkArenaPropagation isolates the arena propagation kernel from graph
 // build and report assembly: one prebuilt arena, one reusable state, one
 // recycled propagation scratch. The sequential pass is the zero-alloc hot
-// path (the allocs/op column must read 0); the parallel passes pay only
-// goroutine startup and scheduler traffic on top, so comparing the three at
+// path (the allocs/op column must read 0); the work-stealing pass pays only
+// goroutine startup and scheduler traffic on top, so comparing the two at
 // GOMAXPROCS=1 vs all cores shows exactly what the work-stealing schedule
 // buys (and costs) on a given machine.
 func BenchmarkArenaPropagation(b *testing.B) {
@@ -121,25 +84,18 @@ func BenchmarkArenaPropagation(b *testing.B) {
 			}
 		}
 	})
-	for _, bench := range []struct {
-		name  string
-		sched Scheduler
-	}{
-		{"levelbarrier", SchedLevelBarrier},
-		{"worksteal", SchedWorkSteal},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			st := da.newState()
-			ps := da.newPropScratch(runtime.GOMAXPROCS(0))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := da.propagate(ctx, st, th, bench.sched, 0, ps); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("worksteal", func(b *testing.B) {
+		workers := runtime.GOMAXPROCS(0)
+		st := da.newState()
+		ps := da.newPropScratch(workers)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := da.propagate(ctx, st, th, workers, ps); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkArenaPropagationObs measures what the telemetry layer costs the
@@ -163,7 +119,7 @@ func BenchmarkArenaPropagationObs(b *testing.B) {
 	}
 	ctx := context.Background()
 	run := func(b *testing.B, reg *obs.Registry) {
-		opt := Options{Threshold: 0.7, Core: CoreArena, Sequential: true, Obs: reg}
+		opt := Options{Threshold: 0.7, Sequential: true, Obs: reg}
 		r, err := opt.resolve()
 		if err != nil {
 			b.Fatal(err)
@@ -198,7 +154,7 @@ func BenchmarkArenaPropagationTrace(b *testing.B) {
 	if _, err := g.arena(); err != nil {
 		b.Fatal(err) // build the arena outside the measured region
 	}
-	opt := Options{Threshold: 0.7, Core: CoreArena, Sequential: true}
+	opt := Options{Threshold: 0.7, Sequential: true}
 	r, err := opt.resolve()
 	if err != nil {
 		b.Fatal(err)
@@ -231,19 +187,15 @@ func BenchmarkArenaPropagationTrace(b *testing.B) {
 // the same 240-net design, two ways:
 //
 //   - full-reanalyze: the pre-session workflow — re-run the whole levelized
-//     analysis after the edit. The benchmark alternates between two prebuilt
-//     graphs differing in one net so a shared engine's memoization stays as
-//     warm as a production server's would (239 of 240 nets hit the cache);
-//     the residual cost is hashing every net, the full arrival sweep, and
-//     the report build.
+//     arena analysis after the edit, alternating between two prebuilt
+//     graphs differing in one net (their arenas built outside the timer);
+//     the cost is the full propagation over every net plus the report
+//     build.
 //   - dirty-cone: a Session absorbing the same alternating edit — one
 //     O(depth) EditTree update, per-output bound refresh, and arrival
 //     propagation only through the edited net's downstream cone.
 //
-// Both sides set Options.Engine, which under CoreAuto deliberately selects
-// the pointer core: the memoization cache is the whole point of the
-// full-reanalysis baseline. scripts/bench_trajectory.sh records the ratio in
-// BENCH_timing.json.
+// scripts/bench_trajectory.sh records the ratio in BENCH_timing.json.
 func BenchmarkDesignECO(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -254,9 +206,8 @@ func BenchmarkDesignECO(b *testing.B) {
 	_, r0, _ := tree.Edge(rctree.NodeID(1))
 	rA, rB := r0*1.25, r0*0.8
 
-	// The edited-variant design for the full-reanalysis baseline: same tree
-	// pointers everywhere except the edited net, so the shared cache keeps
-	// serving the other 239 nets.
+	// The edited-variant design for the full-reanalysis baseline: the same
+	// nets except the edited one.
 	variant := func(r float64) *netlist.Design {
 		et := incr.New(tree)
 		id, ok := et.Lookup(node)
@@ -291,20 +242,21 @@ func BenchmarkDesignECO(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o := opt
-		o.Engine = batch.New(batch.Options{})
 		graphs := [2]*Graph{gA, gB}
+		for _, g := range graphs {
+			if _, err := g.arena(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := graphs[i%2].Analyze(ctx, o); err != nil {
+			if _, err := graphs[i%2].Analyze(ctx, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dirty-cone", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{})
-		s, err := NewSession(ctx, design, o)
+		s, err := NewSession(ctx, design, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

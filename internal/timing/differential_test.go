@@ -19,7 +19,7 @@ func diffDesignConfig(rng *rand.Rand) randnet.DesignConfig {
 	return cfg
 }
 
-// stateFor computes the full per-net working state of d under one core.
+// stateFor computes the full per-net working state of d under opt.
 func stateFor(t *testing.T, d *netlist.Design, opt Options) (*Graph, []netTiming) {
 	t.Helper()
 	g, err := NewGraph(d)
@@ -98,11 +98,11 @@ func assertReportsClose(t *testing.T, got, want *Report, label string) {
 	}
 }
 
-// TestDifferentialArenaVsPointer is the cross-core property test: 300
-// randomized designs analyzed by the flat arena core (sequential,
-// level-barrier and work-stealing schedules) and by the original
-// pointer-tree core must agree on every net bound, arrival interval,
-// endpoint slack, WNS and TNS to 1e-9.
+// TestDifferentialArenaVsPointer is the cross-implementation property test:
+// 300 randomized designs analyzed by the flat arena (sequential and
+// work-stealing at two worker counts) must agree with the pointer-tree
+// oracle on every net bound, arrival interval, endpoint slack, WNS and TNS
+// to 1e-9.
 func TestDifferentialArenaVsPointer(t *testing.T) {
 	designs := 300
 	if testing.Short() {
@@ -117,60 +117,59 @@ func TestDifferentialArenaVsPointer(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			required = 50 + rng.Float64()*1e3
 		}
-		base := Options{Threshold: th, Required: required, K: 3}
-		_, want := stateFor(t, d, Options{Threshold: th, Core: CorePointer, Sequential: true})
+		want := oracleState(t, d, th)
 		variants := []Options{
-			{Threshold: th, Core: CoreArena, Sequential: true},
-			{Threshold: th, Core: CoreArena, Scheduler: SchedLevelBarrier, Workers: 3},
-			{Threshold: th, Core: CoreArena, Scheduler: SchedWorkSteal, Workers: 4},
+			{Threshold: th, Sequential: true},
+			{Threshold: th, Workers: 3},
+			{Threshold: th, Workers: 4},
 		}
 		for vi, opt := range variants {
 			g, got := stateFor(t, d, opt)
 			assertStatesClose(t, g, got, want, fmt.Sprintf("design %d variant %d", n, vi))
 		}
 		// Reports, through the public entry point.
-		pointerOpt := base
-		pointerOpt.Core = CorePointer
-		pointerOpt.Sequential = true
-		wantRep, err := Analyze(ctx, d, pointerOpt)
+		gotRep, err := Analyze(ctx, d, Options{Threshold: th, Required: required, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		arenaOpt := base
-		arenaOpt.Core = CoreArena
-		gotRep, err := Analyze(ctx, d, arenaOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReportsClose(t, gotRep, wantRep, fmt.Sprintf("design %d report", n))
+		assertReportsClose(t, gotRep, oracleReport(d, want, required), fmt.Sprintf("design %d report", n))
 	}
 }
 
-// assertSessionMatchesCore materializes the session's current design and
-// checks the session's incremental state against a from-scratch analysis
-// under the given core.
-func assertSessionMatchesCore(t *testing.T, s *Session, core CoreKind, label string) {
+// assertSessionMatchesOracle materializes the session's current design and
+// checks the session's incremental state and report against the oracle's.
+// With arena set, a from-scratch arena analysis of the same design must
+// match the oracle too.
+func assertSessionMatchesOracle(t *testing.T, s *Session, arena bool, label string) {
 	t.Helper()
 	d, err := s.Design()
 	if err != nil {
 		t.Fatalf("%s: materialize: %v", label, err)
 	}
-	_, want := stateFor(t, d, Options{Threshold: s.th, Core: core, Sequential: true})
+	want := oracleState(t, d, s.th)
+	wantRep := oracleReport(d, want, s.required)
 	assertStatesClose(t, s.g, s.state, want, label)
+	assertReportsClose(t, s.Report(), wantRep, label)
+	if !arena {
+		return
+	}
+	g, got := stateFor(t, d, Options{Threshold: s.th, Sequential: true})
+	assertStatesClose(t, g, got, want, label+" arena")
 	full, err := Analyze(context.Background(), d, Options{
-		Threshold: s.th, Required: s.required, K: s.k, Core: core, Sequential: true,
+		Threshold: s.th, Required: s.required, K: s.k, Sequential: true,
 	})
 	if err != nil {
 		t.Fatalf("%s: full analysis: %v", label, err)
 	}
-	assertReportsClose(t, s.Report(), full, label)
+	assertReportsClose(t, full, wantRep, label+" arena")
 }
 
-// TestDifferentialECO extends the cross-core check through ECO editing: per
+// TestDifferentialECO extends the oracle check through ECO editing: per
 // design, 50 random edits are absorbed incrementally and after every edit
-// the session state must agree with from-scratch analyses under BOTH cores.
-// Forked sessions are spliced in along the way: the fork absorbs its own
-// edit, must match full analyses of its own materialized design, and the
+// the session state must agree with the oracle on the materialized design,
+// as must a from-scratch arena analysis after every other edit. Forked
+// sessions are spliced in along the way: the fork absorbs its own edit, must
+// match the oracle and the arena on its own materialized design, and the
 // parent must stay bit-identical.
 func TestDifferentialECO(t *testing.T) {
 	designs := 300
@@ -188,21 +187,16 @@ func TestDifferentialECO(t *testing.T) {
 			if _, err := s.Apply([]Edit{ed}); err != nil {
 				continue // guarded edit (drain, orphan...) — rejection is fine
 			}
-			core := CorePointer
-			if e%2 == 1 {
-				core = CoreArena
-			}
-			assertSessionMatchesCore(t, s, core, fmt.Sprintf("design %d edit %d", n, e))
+			assertSessionMatchesOracle(t, s, e%2 == 1, fmt.Sprintf("design %d edit %d", n, e))
 			if e == edits/2 {
-				// Fork differential: edit the fork, check it against both
-				// cores, and pin the parent unchanged.
+				// Fork differential: edit the fork, check it against the
+				// oracle and the arena, and pin the parent unchanged.
 				parentWNS, parentTNS := s.summary()
 				parentGen := s.Gen()
 				f := s.Fork()
 				fe := randomEdit(rng, f, &seq)
 				if _, err := f.Apply([]Edit{fe}); err == nil {
-					assertSessionMatchesCore(t, f, CorePointer, fmt.Sprintf("design %d fork", n))
-					assertSessionMatchesCore(t, f, CoreArena, fmt.Sprintf("design %d fork arena", n))
+					assertSessionMatchesOracle(t, f, true, fmt.Sprintf("design %d fork", n))
 				}
 				wns, tns := s.summary()
 				if wns != parentWNS || tns != parentTNS || s.Gen() != parentGen {

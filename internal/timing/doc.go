@@ -5,9 +5,8 @@
 // ("output X of net A drives the input of net B through a gate with
 // intrinsic delay d"). The engine builds the DAG of nets, levelizes it, and
 // computes every net's output delay interval [TMin, TMax] at the switching
-// threshold — the paper's bounds, evaluated through the shared batch worker
-// pool so all nets of a level run concurrently. Interval arrival times then
-// propagate along the stage edges:
+// threshold — the paper's bounds. Interval arrival times then propagate
+// along the stage edges:
 //
 //   - a primary-input net (no fanin) is driven by the ideal step at t = 0,
 //     so its input arrival is the degenerate interval [0, 0];
@@ -31,16 +30,14 @@
 // backtracked through the worst-arrival fanin edge of each net.
 //
 // Analyze is the one-call form; NewGraph + Graph.Analyze amortizes graph
-// construction across repeated analyses. Options.Sequential disables the
-// level-parallel fan-out (BenchmarkDesignSlack measures the gap).
+// construction across repeated analyses. Options.Sequential (or Workers: 1)
+// disables the parallel fan-out (BenchmarkDesignSlack measures the gap).
 //
 // # The flat-arena core
 //
-// Analysis runs on one of two interchangeable compute cores, selected by
-// Options.Core. The default (CoreArena, unless an explicit shared Engine is
-// set) is a flat SoA/CSR arena built once per Graph: every net's RC tree
-// flattened into one concatenated node arena with one contiguous slice per
-// field, and every variable-length relation as a CSR index range:
+// Analysis runs on a flat SoA/CSR arena built once per Graph: every net's RC
+// tree flattened into one concatenated node arena with one contiguous slice
+// per field, and every variable-length relation as a CSR index range:
 //
 //	nodes   net 0 nodes | net 1 nodes | ...     nodeOff CSR per net
 //	        parent/kind/edgeR/edgeC/nodeC       one flat slice per field
@@ -51,22 +48,17 @@
 //
 // Output-name lookups are resolved to integer slots at build, so propagation
 // touches nothing but flat float64/int32 slices; the steady-state sequential
-// sweep allocates nothing per pass (an AllocsPerRun test pins this). The
-// original pointer-tree core (CorePointer) stays intact behind the batch
-// engine — an explicit Options.Engine selects it so repeated nets hit the
-// engine's cross-design memoization cache — and the differential harness
-// pins the two cores to each other to 1e-9 on every quantity the report
-// carries, fresh and across randomized ECO edit sequences.
+// sweep allocates nothing per pass (an AllocsPerRun test pins this). A
+// differential harness pins the arena, fresh and across randomized ECO edit
+// sequences, to a test-only oracle (per-net pointer-tree bounds folded in a
+// plain topological order) to 1e-9 on every quantity the report carries.
 //
-// Parallel arena propagation is scheduled by Options.Scheduler.
-// SchedLevelBarrier shards each topological level across workers and
-// barriers between levels — simple, but a deep design with narrow levels
-// serializes on the barriers. SchedWorkSteal (the default) drops them: each
-// net carries an atomic remaining-fanin counter, a finished net pushes the
-// successors that just became ready onto its own deque (popped LIFO, chasing
-// the fanout cone depth-first for locality), and idle workers steal FIFO.
-// Results are bit-identical across cores, schedulers and worker counts —
-// each net's computation is a pure function of its drivers' final state.
+// With more than one worker, propagation is work-stealing: each net carries
+// an atomic remaining-fanin counter, a finished net pushes the successors
+// that just became ready onto its own deque (popped LIFO, chasing the fanout
+// cone depth-first for locality), and idle workers steal FIFO. Results are
+// bit-identical across worker counts — each net's computation is a pure
+// function of its drivers' final state.
 //
 // # Incremental re-timing (ECO sessions)
 //

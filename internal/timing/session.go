@@ -119,8 +119,8 @@ const (
 )
 
 // NewSession builds the graph, mounts one EditTree per net, and runs the
-// initial full analysis (through opt.Engine's pool unless opt.Sequential).
-// Options are fixed for the session's lifetime.
+// initial full analysis (across opt.Workers unless opt.Sequential). Options
+// are fixed for the session's lifetime.
 func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, error) {
 	_, op := trace.StartOp(ctx, opt.Obs, "timing_levelize")
 	g, err := NewGraph(d)
@@ -133,8 +133,8 @@ func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, 
 }
 
 // Session mounts an incremental re-timing session on an existing graph. The
-// initial full analysis rides the resolved core (the flat arena by default);
-// the session's own ECO machinery then re-times dirty cones incrementally.
+// initial full analysis runs on the flat arena; the session's own ECO
+// machinery then re-times dirty cones incrementally.
 func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 	r, err := opt.resolve()
 	if err != nil {

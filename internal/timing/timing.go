@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -36,28 +35,9 @@ func (iv Interval) hull(o Interval) Interval {
 	return Interval{math.Min(iv.Min, o.Min), math.Max(iv.Max, o.Max)}
 }
 
-// CoreKind selects the compute core an analysis runs on.
-type CoreKind int
-
-const (
-	// CoreAuto uses the flat arena core, unless a shared Engine is supplied
-	// (an explicit engine means the caller wants its memoization cache, which
-	// only the pointer core consults).
-	CoreAuto CoreKind = iota
-	// CoreArena forces the flat SoA/CSR arena core: index-based node storage,
-	// allocation-free levelized propagation, and (when parallel) the chosen
-	// Scheduler. Engine is ignored.
-	CoreArena
-	// CorePointer forces the original pointer-tree core: per-net
-	// rctree.Tree walks fanned across a batch engine (or computed inline
-	// when Sequential). Kept as the independent reference implementation the
-	// differential harness compares the arena against.
-	CorePointer
-)
-
 // Options configures an analysis. The zero value uses threshold 0.5, no
-// default required time, 5 critical paths, the flat arena core, and
-// work-stealing parallel execution across GOMAXPROCS workers.
+// default required time, 5 critical paths, and work-stealing parallel
+// propagation across GOMAXPROCS workers.
 type Options struct {
 	// Threshold is the receiving gates' switching threshold as a fraction of
 	// the step (0 means 0.5).
@@ -68,23 +48,13 @@ type Options struct {
 	// K is how many critical paths to backtrack (0 means 5; negative means
 	// none).
 	K int
-	// Engine is the batch engine the pointer core fans per-net bound
-	// computations across. Setting it selects the pointer core under
-	// CoreAuto, so repeated nets hit the engine's memoization cache; the
-	// arena core computes bounds in place and never consults it.
-	Engine *batch.Engine
-	// Sequential computes each net one at a time on the caller's goroutine,
-	// whichever core is selected.
+	// Sequential computes each net one at a time on the caller's goroutine
+	// (the same as Workers: 1).
 	Sequential bool
-	// Core picks the compute core; see CoreKind.
-	Core CoreKind
-	// Scheduler picks the parallel arena schedule (SchedAuto means
-	// work-stealing). Ignored by the pointer core and in sequential mode.
-	Scheduler Scheduler
-	// Workers caps arena propagation parallelism; 0 means GOMAXPROCS.
+	// Workers caps propagation parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Obs receives engine-phase telemetry (graph/arena build spans,
-	// per-scheduler propagation timings, dirty-cone sweep sizes). Nil — the
+	// per-schedule propagation timings, dirty-cone sweep sizes). Nil — the
 	// default — disables it at the cost of one pointer test per phase.
 	Obs *obs.Registry
 }
@@ -257,22 +227,14 @@ type netTiming struct {
 type resolved struct {
 	th      float64
 	k       int
-	core    CoreKind
-	sched   Scheduler
-	workers int
-	// Pointer-core machinery: the analyzer is non-nil exactly in sequential
-	// mode, the engine otherwise.
-	engine   *batch.Engine
-	analyzer *core.Analyzer
-	obs      *obs.Registry
+	workers int // >= 1
+	obs     *obs.Registry
 }
 
 // resolve applies the Options defaults: threshold 0.5, 5 critical paths, and
-// the arena core with work-stealing parallelism — unless a shared Engine (or
-// an explicit Core) selects the pointer core, which keeps its original
-// engine/analyzer split.
+// GOMAXPROCS workers (one when Sequential).
 func (opt Options) resolve() (resolved, error) {
-	r := resolved{th: opt.Threshold, k: opt.K, obs: opt.Obs}
+	r := resolved{th: opt.Threshold, k: opt.K, workers: opt.Workers, obs: opt.Obs}
 	if r.th == 0 {
 		r.th = 0.5
 	}
@@ -282,35 +244,11 @@ func (opt Options) resolve() (resolved, error) {
 	if r.k == 0 {
 		r.k = 5
 	}
-	r.core = opt.Core
-	if r.core == CoreAuto {
-		if opt.Engine != nil {
-			r.core = CorePointer
-		} else {
-			r.core = CoreArena
-		}
+	if r.workers <= 0 {
+		r.workers = runtime.GOMAXPROCS(0)
 	}
-	switch r.core {
-	case CorePointer:
-		if opt.Sequential {
-			r.analyzer = core.NewAnalyzer()
-		} else if r.engine = opt.Engine; r.engine == nil {
-			r.engine = batch.New(batch.Options{})
-		}
-	case CoreArena:
-		r.sched = opt.Scheduler
-		if r.sched == SchedAuto {
-			r.sched = SchedWorkSteal
-		}
-		r.workers = opt.Workers
-		if r.workers <= 0 {
-			r.workers = runtime.GOMAXPROCS(0)
-		}
-		if opt.Sequential {
-			r.workers = 1
-		}
-	default:
-		return resolved{}, fmt.Errorf("timing: unknown core %d", r.core)
+	if opt.Sequential {
+		r.workers = 1
 	}
 	return r, nil
 }
@@ -335,9 +273,8 @@ func (g *Graph) gatherInput(state []netTiming, i int) (Interval, int) {
 	return in, worst
 }
 
-// Analyze propagates interval arrivals over the selected core — the flat
-// arena by default, or the pointer-tree core behind a batch engine — and
-// assembles the chip report; see the package comment for the model.
+// Analyze propagates interval arrivals over the flat arena and assembles the
+// chip report; see the package comment for the model.
 func (g *Graph) Analyze(ctx context.Context, opt Options) (*Report, error) {
 	r, err := opt.resolve()
 	if err != nil {
@@ -350,55 +287,30 @@ func (g *Graph) Analyze(ctx context.Context, opt Options) (*Report, error) {
 	return g.report(state, r.th, r.k, opt.Required, g.treeOutputNames), nil
 }
 
-// computeState runs the full sweep on the resolved core and returns the
-// complete per-net working state a Session continues from. On the arena core
-// the propagation happens entirely in flat arrays; the map-form state is
-// materialized once at the end.
+// computeState runs the full sweep and returns the complete per-net working
+// state a Session continues from. The propagation happens entirely in flat
+// arrays; the map-form state is materialized once at the end.
 func (g *Graph) computeState(ctx context.Context, r resolved) ([]netTiming, error) {
-	if r.core == CoreArena {
-		da, err := g.arenaWith(ctx, r.obs)
-		if err != nil {
-			return nil, err
-		}
-		st := da.newState()
-		sched := r.sched.String()
-		if r.workers <= 1 {
-			sched = "sequential"
-		}
-		pctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "core", "arena", "sched", sched)
-		if err := da.propagate(pctx, st, r.th, r.sched, r.workers, nil); err != nil {
-			op.SetError(err)
-			op.End()
-			return nil, err
-		}
-		op.End()
-		return da.netTimings(st), nil
+	da, err := g.arenaWith(ctx, r.obs)
+	if err != nil {
+		return nil, err
 	}
-	sched := "batch"
-	if r.analyzer != nil {
+	st := da.newState()
+	// Clamp before labelling, so the series names the path that runs: a
+	// worker beyond one per net would only spin idle.
+	workers := min(r.workers, da.nets)
+	sched := "worksteal"
+	if workers <= 1 {
 		sched = "sequential"
 	}
-	ctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "core", "pointer", "sched", sched)
-	defer op.End()
-	state := make([]netTiming, len(g.nodes))
-	for _, level := range g.levels {
-		// Arrivals first: every driver sits in a shallower level, so its
-		// output arrivals are already final.
-		for _, i := range level {
-			state[i].input, state[i].worst = g.gatherInput(state, i)
-		}
-		if err := g.computeDelays(ctx, level, state, r.th, r.engine, r.analyzer); err != nil {
-			return nil, err
-		}
-		for _, i := range level {
-			st := &state[i]
-			st.out = make(map[string]Interval, len(st.delay))
-			for name, d := range st.delay {
-				st.out[name] = st.input.plus(d)
-			}
-		}
+	pctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "core", "arena", "sched", sched)
+	err = da.propagate(pctx, st, r.th, workers, nil)
+	op.SetError(err)
+	op.End()
+	if err != nil {
+		return nil, err
 	}
-	return state, nil
+	return da.netTimings(st), nil
 }
 
 // treeOutputNames lists net i's designated output names in designation
@@ -411,44 +323,6 @@ func (g *Graph) treeOutputNames(i int) []string {
 		names[j] = t.Name(o)
 	}
 	return names
-}
-
-// computeDelays fills state[i].delay for every net of the level: the
-// threshold-crossing interval [TMin, TMax] of each designated output.
-func (g *Graph) computeDelays(ctx context.Context, level []int, state []netTiming, th float64, engine *batch.Engine, analyzer *core.Analyzer) error {
-	fill := func(i int, results []core.Result) {
-		st := &state[i]
-		st.delay = make(map[string]Interval, len(results))
-		for _, r := range results {
-			st.delay[r.Name] = Interval{r.Bounds.TMin(th), r.Bounds.TMax(th)}
-		}
-	}
-	if analyzer != nil {
-		for _, i := range level {
-			results, err := analyzer.Analyze(g.nodes[i].tree)
-			if err != nil {
-				return fmt.Errorf("timing: net %q: %w", g.nodes[i].name, err)
-			}
-			fill(i, results)
-		}
-		return nil
-	}
-	jobs := make([]batch.Job, len(level))
-	for j, i := range level {
-		jobs[j] = batch.Job{Tree: g.nodes[i].tree, Tag: g.nodes[i].name, Thresholds: []float64{th}}
-	}
-	for j, res := range engine.Run(ctx, jobs) {
-		i := level[j]
-		if res.Err != nil {
-			return fmt.Errorf("timing: net %q: %w", g.nodes[i].name, res.Err)
-		}
-		st := &state[i]
-		st.delay = make(map[string]Interval, len(res.Outputs))
-		for _, rep := range res.Outputs {
-			st.delay[rep.Name] = Interval{rep.Delay[0].TMin, rep.Delay[0].TMax}
-		}
-	}
-	return nil
 }
 
 // report assembles endpoint slacks, WNS/TNS and the K critical paths.

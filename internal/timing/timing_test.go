@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/randnet"
 	"repro/internal/rctree"
 )
@@ -295,19 +295,28 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-func TestSharedEngineAndContext(t *testing.T) {
-	d := randnet.DesignSeed(3, randnet.DefaultDesignConfig(3, 4))
-	eng := batch.New(batch.Options{Workers: 2})
-	if _, err := Analyze(context.Background(), d, Options{Engine: eng}); err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheStats().Misses == 0 {
-		t.Error("shared engine cache untouched")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Analyze(ctx, d, Options{Engine: eng}); err == nil {
-		t.Error("canceled context not surfaced")
+// TestPropagateSchedLabel pins the timing_propagate series to the path that
+// ran: more workers than nets clamp to one per net, so a 1-net design runs
+// (and must be labelled) sequential, while two nets still work-steal.
+func TestPropagateSchedLabel(t *testing.T) {
+	for _, tc := range []struct {
+		nets  int
+		sched string
+	}{{1, "sequential"}, {2, "worksteal"}} {
+		d := &netlist.Design{Name: "label"}
+		for i := 0; i < tc.nets; i++ {
+			d.Nets = append(d.Nets, simpleNet(t, string(rune('a'+i)), 10, 5))
+		}
+		reg := obs.NewRegistry()
+		if _, err := Analyze(context.Background(), d, Options{Workers: 4, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		want := `timing_propagate_seconds_count{core="arena",sched="` + tc.sched + `"} 1`
+		if !strings.Contains(sb.String(), want) || strings.Count(sb.String(), "timing_propagate_seconds_count") != 1 {
+			t.Errorf("%d nets: want only %s in\n%s", tc.nets, want, sb.String())
+		}
 	}
 }
 

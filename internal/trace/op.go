@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -12,18 +13,27 @@ import (
 // may be absent — nil registry, untraced context — and a fully disabled Op
 // is nil itself; every method is nil-safe.
 type Op struct {
-	span *Span
-	hist *obs.Span
+	span  *Span
+	hist  *obs.Histogram // nil without a registry
+	start time.Time
 }
 
 // StartOp is the single instrumentation point for engine phases: it opens
-// an obs.Span recording into "<name>_seconds{labels...}" on reg AND a trace
-// child span named name (labels become attributes) under the context's
-// active span. The returned context carries the child span for deeper
-// phases. Both reg and an untraced ctx degrade independently; with neither,
-// StartOp returns (ctx, nil) and the nil Op's End is a no-op.
+// a duration observation into the histogram "<name>_seconds{labels...}"
+// (obs.LatencyBuckets) on reg AND a trace child span named name (labels
+// become attributes) under the context's active span. The returned context
+// carries the child span for deeper phases. Both reg and an untraced ctx
+// degrade independently — a nil registry costs one pointer test; with
+// neither, StartOp returns (ctx, nil) and the nil Op's End is a no-op.
 func StartOp(ctx context.Context, reg *obs.Registry, name string, labels ...string) (context.Context, *Op) {
-	hist := obs.StartSpan(reg, name, labels...)
+	var (
+		hist  *obs.Histogram
+		start time.Time
+	)
+	if reg != nil {
+		hist = reg.Histogram(name+"_seconds", obs.LatencyBuckets, labels...)
+		start = time.Now()
+	}
 	ctx, span := StartSpan(ctx, name)
 	if hist == nil && span == nil {
 		return ctx, nil
@@ -31,7 +41,7 @@ func StartOp(ctx context.Context, reg *obs.Registry, name string, labels ...stri
 	for i := 0; i+1 < len(labels); i += 2 {
 		span.SetAttr(labels[i], labels[i+1])
 	}
-	return ctx, &Op{span: span, hist: hist}
+	return ctx, &Op{span: span, hist: hist, start: start}
 }
 
 // Span exposes the trace half (nil when the request is untraced) for extra
@@ -57,6 +67,8 @@ func (o *Op) End() {
 	if o == nil {
 		return
 	}
-	o.hist.End()
+	if o.hist != nil {
+		o.hist.Observe(time.Since(o.start).Seconds())
+	}
 	o.span.End()
 }

@@ -242,13 +242,13 @@ func TestParseTraceparent(t *testing.T) {
 	}
 	bad := []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // reserved version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase
-		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",    // short trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z",  // bad flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",      // missing flags
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // reserved version
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",   // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",   // zero span id
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",   // uppercase
+		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",     // short trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z",   // bad flags
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // v00 extra field
 	}
 	for _, h := range bad {
@@ -313,6 +313,43 @@ func TestStartOpBothHalves(t *testing.T) {
 	op2.End()
 	if got := hist.Snapshot().Count; got != 2 {
 		t.Errorf("metrics-only op did not record: count = %d", got)
+	}
+}
+
+// TestOpNilRegistry: without a registry an untraced Op is nil and every
+// method on it is a no-op, while a traced one still records its span.
+func TestOpNilRegistry(t *testing.T) {
+	_, op := StartOp(context.Background(), nil, "phase", "kind", "test")
+	if op != nil {
+		t.Fatal("op on nil registry and untraced ctx must be nil")
+	}
+	op.SetError(errors.New("x"))
+	op.End()
+	tr := New(Options{})
+	ctx, root := tr.Start(context.Background(), "r")
+	_, op = StartOp(ctx, nil, "phase")
+	if op == nil || op.Span() == nil {
+		t.Fatal("traced op on nil registry lost its span")
+	}
+	op.End()
+	root.End()
+	if spans := tr.Recent()[0].Spans; len(spans) != 2 {
+		t.Fatalf("trace recorded %d spans, want 2", len(spans))
+	}
+}
+
+// TestOpRecordsHistogram: End observes the elapsed seconds once into the
+// labelled "<name>_seconds" histogram.
+func TestOpRecordsHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, op := StartOp(context.Background(), reg, "phase", "kind", "test")
+	op.End()
+	s := reg.Histogram("phase_seconds", obs.LatencyBuckets, "kind", "test").Snapshot()
+	if s.Count != 1 {
+		t.Fatalf("op recorded %d observations, want 1", s.Count)
+	}
+	if s.Sum < 0 {
+		t.Fatalf("op sum negative: %v", s.Sum)
 	}
 }
 

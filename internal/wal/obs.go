@@ -1,13 +1,6 @@
 package wal
 
-import (
-	"context"
-	"strconv"
-
-	"repro/internal/obs"
-	"repro/internal/timing"
-	"repro/internal/trace"
-)
+import "repro/internal/obs"
 
 // Instrument attaches a metrics registry to the store. Logs handed out by
 // subsequent Create/Recover calls record durability telemetry on it:
@@ -23,39 +16,3 @@ import (
 // A nil registry (the default) disables all of it. Instrument is not
 // synchronized with in-flight operations; call it right after Open.
 func (s *Store) Instrument(reg *obs.Registry) { s.obs = reg }
-
-// AppendCtx is Append with trace propagation: a wal_append span (with a
-// nested wal_fsync span) attaches under ctx's active trace span, alongside
-// the duration histograms recorded on the store's registry.
-func (l *Log) AppendCtx(ctx context.Context, edits []timing.Edit) error {
-	if len(edits) == 0 {
-		return nil
-	}
-	ctx, op := trace.StartOp(ctx, l.obs, "wal_append")
-	op.Span().SetAttr("edits", strconv.Itoa(len(edits)))
-	err := l.append(ctx, edits)
-	op.SetError(err)
-	op.End()
-	return err
-}
-
-// RotateCtx is Rotate with trace propagation: the snapshot write gets a
-// wal_snapshot span under ctx in addition to its histogram.
-func (l *Log) RotateCtx(ctx context.Context, deck string, totalEdits int) error {
-	return l.rotate(ctx, deck, totalEdits)
-}
-
-// RecoverCtx is Recover with trace propagation: the replay gets a
-// wal_recovery span under ctx in addition to the wal_recovery_seconds
-// histogram both forms record.
-func (s *Store) RecoverCtx(ctx context.Context, id string) (*Recovered, *Log, error) {
-	ctx, op := trace.StartOp(ctx, s.obs, "wal_recovery")
-	op.Span().SetAttr("id", id)
-	rec, l, err := s.recover(id)
-	if rec != nil {
-		op.Span().SetAttr("replayed_edits", strconv.Itoa(len(rec.Edits)))
-	}
-	op.SetError(err)
-	op.End()
-	return rec, l, err
-}

@@ -26,13 +26,13 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testEdits()); err != nil {
+	if err := l.Append(context.Background(), testEdits()); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Rotate(testDeck, 2); err != nil {
+	if err := l.Rotate(context.Background(), testDeck, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testEdits()); err != nil {
+	if err := l.Append(context.Background(), testEdits()); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -52,7 +52,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, l2, err := st.Recover("d1")
+	rec, l2, err := st.Recover(context.Background(), "d1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	}
 }
 
-// TestAppendTraceSpans checks AppendCtx nests wal_append → wal_fsync under
+// TestAppendTraceSpans checks Append nests wal_append → wal_fsync under
 // the caller's trace span.
 func TestAppendTraceSpans(t *testing.T) {
 	st, err := Open(t.TempDir())
@@ -110,7 +110,7 @@ func TestAppendTraceSpans(t *testing.T) {
 
 	tracer := trace.New(trace.Options{})
 	ctx, root := tracer.Start(context.Background(), "edit")
-	if err := l.AppendCtx(ctx, testEdits()); err != nil {
+	if err := l.Append(ctx, testEdits()); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -67,7 +67,7 @@ func runRecoveryTrial(t *testing.T, seed int64) {
 			continue // rejected edits never reach the log
 		}
 		accepted++
-		if err := l.Append([]timing.Edit{e}); err != nil {
+		if err := l.Append(context.Background(), []timing.Edit{e}); err != nil {
 			t.Fatalf("append edit %d: %v", i, err)
 		}
 		if rng.Float64() < 0.15 {
@@ -75,14 +75,14 @@ func runRecoveryTrial(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("materialize at edit %d: %v", i, err)
 			}
-			if err := l.Rotate(netlist.WriteDesign(d), accepted); err != nil {
+			if err := l.Rotate(context.Background(), netlist.WriteDesign(d), accepted); err != nil {
 				t.Fatalf("rotate at edit %d: %v", i, err)
 			}
 		}
 	}
 	l.Close() // crash point: the process is gone, only the files remain
 
-	rec, l2, err := st.Recover(id)
+	rec, l2, err := st.Recover(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,14 +176,19 @@ type Recovered struct {
 // Recover loads id's durable state and returns it together with a live Log
 // positioned to accept new appends. The log's torn tail, if any, is
 // truncated away so subsequent appends start at a record boundary; stray
-// files from older sequences (an interrupted rotation) are retired.
-func (s *Store) Recover(id string) (*Recovered, *Log, error) {
-	return s.RecoverCtx(context.Background(), id)
-}
-
-// recover is the Recover body, shared with the span-attaching RecoverCtx
-// (which owns the wal_recovery histogram/span around this call).
-func (s *Store) recover(id string) (*Recovered, *Log, error) {
+// files from older sequences (an interrupted rotation) are retired. The
+// replay records wal_recovery_seconds on the store's registry and a
+// wal_recovery span under ctx's active trace span.
+func (s *Store) Recover(ctx context.Context, id string) (rec *Recovered, l *Log, err error) {
+	_, op := trace.StartOp(ctx, s.obs, "wal_recovery")
+	op.Span().SetAttr("id", id)
+	defer func() {
+		if rec != nil {
+			op.Span().SetAttr("replayed_edits", strconv.Itoa(len(rec.Edits)))
+		}
+		op.SetError(err)
+		op.End()
+	}()
 	if !validID(id) {
 		return nil, nil, fmt.Errorf("wal: bad id %q", id)
 	}
@@ -209,7 +214,7 @@ func (s *Store) recover(id string) (*Recovered, *Log, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 
-	rec := &Recovered{Meta: meta, Deck: string(deckBytes)}
+	rec = &Recovered{Meta: meta, Deck: string(deckBytes)}
 	logPath := filepath.Join(dir, logName(seq))
 	raw, err := os.ReadFile(logPath)
 	switch {
@@ -235,7 +240,7 @@ func (s *Store) recover(id string) (*Recovered, *Log, error) {
 	if retired := retireStale(dir, seq); retired > 0 {
 		s.obs.Counter("wal_stale_files_retired_total").Add(int64(retired))
 	}
-	l := &Log{dir: dir, meta: meta, pending: len(rec.Edits), obs: s.obs}
+	l = &Log{dir: dir, meta: meta, pending: len(rec.Edits), obs: s.obs}
 	if err := l.openLog(); err != nil {
 		return nil, nil, err
 	}
@@ -351,15 +356,20 @@ func (l *Log) openLog() error {
 }
 
 // Append renders the edits through the ECO grammar, appends them to the live
-// log and fsyncs before returning: an acknowledged edit survives a crash.
-func (l *Log) Append(edits []timing.Edit) error {
-	return l.AppendCtx(context.Background(), edits)
-}
-
-// append is the Append body, shared with the span-attaching AppendCtx (which
-// owns the wal_append histogram/span around this call). The fsync — usually
-// the dominant cost — gets its own nested wal_fsync span and histogram.
-func (l *Log) append(ctx context.Context, edits []timing.Edit) error {
+// log and fsyncs before returning: an acknowledged edit survives a crash. It
+// records wal_append_seconds on the store's registry and a wal_append span
+// under ctx's active trace span; the fsync — usually the dominant cost —
+// gets its own nested wal_fsync span and histogram.
+func (l *Log) Append(ctx context.Context, edits []timing.Edit) (err error) {
+	if len(edits) == 0 {
+		return nil
+	}
+	ctx, op := trace.StartOp(ctx, l.obs, "wal_append")
+	op.Span().SetAttr("edits", strconv.Itoa(len(edits)))
+	defer func() {
+		op.SetError(err)
+		op.End()
+	}()
 	text := timing.FormatEdits(edits)
 	// Guard against unreplayable lines reaching disk: FormatEdits renders
 	// malformed hand-assembled edits as lines a reparse rejects.
@@ -369,10 +379,10 @@ func (l *Log) append(ctx context.Context, edits []timing.Edit) error {
 	if _, err := l.f.WriteString(text); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	_, op := trace.StartOp(ctx, l.obs, "wal_fsync")
-	err := l.f.Sync()
-	op.SetError(err)
-	op.End()
+	_, fop := trace.StartOp(ctx, l.obs, "wal_fsync")
+	err = l.f.Sync()
+	fop.SetError(err)
+	fop.End()
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -390,15 +400,11 @@ func (l *Log) Seq() uint64 { return l.meta.Seq }
 // Rotate makes deck the new recovery point: it writes snapshot N+1
 // atomically, switches appends to the (empty) log N+1, rewrites meta, and
 // retires the old pair. A crash anywhere in between leaves a complete pair
-// on disk — old before the snapshot rename commits, new after.
-func (l *Log) Rotate(deck string, totalEdits int) error {
-	return l.rotate(context.Background(), deck, totalEdits)
-}
-
-// rotate is the Rotate body; the snapshot write + rename (the bulk of a
-// rotation's IO) records wal_snapshot_seconds and a wal_snapshot trace span,
-// and a completed rotation bumps wal_rotations_total.
-func (l *Log) rotate(ctx context.Context, deck string, totalEdits int) error {
+// on disk — old before the snapshot rename commits, new after. The
+// snapshot write + rename (the bulk of a rotation's IO) records
+// wal_snapshot_seconds and a wal_snapshot span under ctx, and a completed
+// rotation bumps wal_rotations_total.
+func (l *Log) Rotate(ctx context.Context, deck string, totalEdits int) error {
 	next := l.meta.Seq + 1
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
 	_, op := trace.StartOp(ctx, l.obs, "wal_snapshot")

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +30,7 @@ func TestCreateAppendRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testEdits()); err != nil {
+	if err := l.Append(context.Background(), testEdits()); err != nil {
 		t.Fatal(err)
 	}
 	if l.Pending() != 2 {
@@ -45,7 +46,7 @@ func TestCreateAppendRecover(t *testing.T) {
 		t.Fatalf("List = %v, %v", ids, err)
 	}
 
-	rec, l2, err := st.Recover("abc123")
+	rec, l2, err := st.Recover(context.Background(), "abc123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +71,18 @@ func TestRotateRetiresOldPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testEdits()); err != nil {
+	if err := l.Append(context.Background(), testEdits()); err != nil {
 		t.Fatal(err)
 	}
 	const newDeck = testDeck + "* rotated\n"
-	if err := l.Rotate(newDeck, 2); err != nil {
+	if err := l.Rotate(context.Background(), newDeck, 2); err != nil {
 		t.Fatal(err)
 	}
 	if l.Pending() != 0 || l.Seq() != 2 {
 		t.Fatalf("after rotate: pending %d seq %d", l.Pending(), l.Seq())
 	}
 	// New appends land in the new log; old pair is gone.
-	if err := l.Append(testEdits()[:1]); err != nil {
+	if err := l.Append(context.Background(), testEdits()[:1]); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -89,7 +90,7 @@ func TestRotateRetiresOldPair(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "snap.1.ckt")); !os.IsNotExist(err) {
 		t.Error("old snapshot survived rotation")
 	}
-	rec, l2, err := st.Recover("x1")
+	rec, l2, err := st.Recover(context.Background(), "x1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testEdits()); err != nil {
+	if err := l.Append(context.Background(), testEdits()); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -120,7 +121,7 @@ func TestTornTailDropped(t *testing.T) {
 	f.WriteString("setR drv.o 9") // no newline: torn
 	f.Close()
 
-	rec, l2, err := st.Recover("x2")
+	rec, l2, err := st.Recover(context.Background(), "x2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestTornTailDropped(t *testing.T) {
 		t.Fatalf("recovered %d edits, torn %d", len(rec.Edits), rec.TornBytes)
 	}
 	// The torn bytes are gone from disk; appends resume at a record boundary.
-	if err := l2.Append(testEdits()[:1]); err != nil {
+	if err := l2.Append(context.Background(), testEdits()[:1]); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
-	rec2, l3, err := st.Recover("x2")
+	rec2, l3, err := st.Recover(context.Background(), "x2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +151,13 @@ func TestCorruptLineFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(testEdits())
+	l.Append(context.Background(), testEdits())
 	l.Close()
 	logPath := filepath.Join(st.Dir(), "x3", "wal.1.log")
 	f, _ := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
 	f.WriteString("zorch drv.o 9\n")
 	f.Close()
-	if _, _, err := st.Recover("x3"); err == nil {
+	if _, _, err := st.Recover(context.Background(), "x3"); err == nil {
 		t.Fatal("corrupt log recovered silently")
 	}
 }
@@ -171,7 +172,7 @@ func TestInterruptedRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(testEdits())
+	l.Append(context.Background(), testEdits())
 	l.Close()
 	dir := filepath.Join(st.Dir(), "x4")
 	const newDeck = testDeck + "* newer\n"
@@ -181,7 +182,7 @@ func TestInterruptedRotation(t *testing.T) {
 	}
 	os.WriteFile(filepath.Join(dir, "snap.3.ckt.tmp"), []byte("garbage"), 0o644)
 
-	rec, l2, err := st.Recover("x4")
+	rec, l2, err := st.Recover(context.Background(), "x4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestMissingNamedSnapshotErrors(t *testing.T) {
 	if err := os.Remove(filepath.Join(st.Dir(), "x5", "snap.1.ckt")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Recover("x5"); err == nil {
+	if _, _, err := st.Recover(context.Background(), "x5"); err == nil {
 		t.Fatal("recovery invented a snapshot")
 	}
 }
@@ -254,14 +255,14 @@ func TestAppendRefusesUnreplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]timing.Edit{{Op: "setR", Net: "drv", Node: "o"}}); err == nil {
+	if err := l.Append(context.Background(), []timing.Edit{{Op: "setR", Net: "drv", Node: "o"}}); err == nil {
 		t.Fatal("unreplayable edit appended")
 	}
 	if l.Pending() != 0 {
 		t.Errorf("pending = %d after refused append", l.Pending())
 	}
 	// The refused append must not have written anything: recovery is clean.
-	rec, l2, err := st.Recover("x7")
+	rec, l2, err := st.Recover(context.Background(), "x7")
 	if err != nil || len(rec.Edits) != 0 {
 		t.Fatalf("recovery after refused append: %v, %d edits", err, len(rec.Edits))
 	}

@@ -3,8 +3,8 @@
 # the derived speedups) at the repo root:
 #
 #   BENCH_incremental.json  full-vs-incremental EditTree sweeps
-#   BENCH_timing.json       arena vs pointer chip-slack cores, the arena
-#                           propagation kernel under its three schedules,
+#   BENCH_timing.json       sequential vs work-stealing chip slack and
+#                           arena propagation kernel,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
 #                           the corner sweep's in-place arena rescale vs
@@ -146,13 +146,10 @@ END {
             bname[k], bmp[k], ns[k], extra, (i < n-1 ? "," : "")
     }
     printf "  ],\n"
-    speedup("arena_vs_pointer_sequential", "DesignSlack/pointer-sequential@1", "DesignSlack/arena-sequential@1")
     speedup("worksteal_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-worksteal@1")
     if (maxmp > 1) {
         speedup("worksteal_vs_sequential_multicore", \
             "DesignSlack/arena-sequential@" maxmp, "DesignSlack/arena-worksteal@" maxmp)
-        speedup("worksteal_vs_levelbarrier_multicore", \
-            "DesignSlack/arena-levelbarrier@" maxmp, "DesignSlack/arena-worksteal@" maxmp)
         speedup("propagation_worksteal_vs_sequential_multicore", \
             "ArenaPropagation/sequential@" maxmp, "ArenaPropagation/worksteal@" maxmp)
     }
