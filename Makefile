@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: test race bench bench-smoke bench-trajectory cover golden vet clean
+.PHONY: test race bench bench-smoke bench-trajectory cover golden vet clean loc
 
 test:
 	go test ./...
@@ -18,6 +18,11 @@ race:
 
 vet:
 	go vet ./...
+
+# Non-test Go line counts per package (total and code-only), excluding
+# perfbench/ — the figure a deletion PR records as its LoC delta.
+loc:
+	sh scripts/loc.sh
 
 # Per-package coverage summary over internal/... with the CI floor (75%).
 cover:

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 
 	rcdelay "repro"
@@ -179,8 +182,8 @@ type designEditResponse struct {
 }
 
 // handleDesignEdit applies ECO edits under the session lock and re-times
-// only the dirty cone — the chip-level analogue of the /session edit
-// endpoint, with slack instead of characteristic times in the answer.
+// only the dirty cone, answering with slack; the edited nets' characteristic
+// times and bound tables are read back through GET /design/{id}/bounds.
 func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	done, ok := admitOr429(w, r, s.designs, r.PathValue("id"))
@@ -264,6 +267,104 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 		"gen":    gen,
 		"report": report,
 	})
+}
+
+// designBoundsResponse answers GET /design/{id}/bounds: one net's
+// characteristic times and bound tables at the session's current generation.
+type designBoundsResponse struct {
+	ID      string       `json:"id"`
+	Gen     uint64       `json:"gen"`
+	Outputs []outputJSON `json:"outputs"`
+}
+
+// handleDesignBounds answers the paper's guaranteed bounds for one net of the
+// live design: GET /design/{id}/bounds?net=x&thresholds=0.5,0.9&times=100.
+// Every designated output of the net is reported, or only the node named by
+// output (any node of the net). Thresholds and times are optional
+// comma-separated lists; without them the response carries the
+// characteristic times only. A single tree is served as a one-net design.
+func (s *server) handleDesignBounds(w http.ResponseWriter, r *http.Request) {
+	s.count("rcserve_design_requests_total", 1)
+	s.count("rcserve_bounds_queries_total", 1)
+	ent, ok := s.lookupDesign(w, r)
+	if !ok {
+		return
+	}
+	defer s.designs.release(ent)
+	q := r.URL.Query()
+	thresholds, err := parseFloats(q.Get("thresholds"))
+	if err != nil {
+		httpError(w, r, fmt.Sprintf("thresholds: %v", err), floatsStatus(err))
+		return
+	}
+	times, err := parseFloats(q.Get("times"))
+	if err != nil {
+		httpError(w, r, fmt.Sprintf("times: %v", err), floatsStatus(err))
+		return
+	}
+	ds := ent.val
+	ds.mu.Lock()
+	gen := ds.sess.Gen()
+	nts, err := ds.sess.NetTimes(q.Get("net"), q.Get("output"))
+	ds.mu.Unlock()
+	if err != nil {
+		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	resp := designBoundsResponse{ID: ent.id, Gen: gen, Outputs: make([]outputJSON, len(nts))}
+	for k, nt := range nts {
+		var delay []rcdelay.DelayRow
+		var voltage []rcdelay.VoltageRow
+		if len(thresholds) > 0 || len(times) > 0 {
+			b, err := rcdelay.NewBounds(nt.Times)
+			if err != nil {
+				httpError(w, r, fmt.Sprintf("output %q: %v", nt.Node, err), http.StatusUnprocessableEntity)
+				return
+			}
+			delay, voltage = b.DelayTable(thresholds), b.VoltageTable(times)
+		}
+		resp.Outputs[k] = newOutputJSON(nt.Node, nt.Times, delay, voltage)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// errNonFinite marks query numbers that parse but are NaN/Inf — legal
+// float64 syntax, meaningless as thresholds or times, and rejected
+// everywhere else (netlist.ParseValue) — so the handler can answer 422
+// (understood but unprocessable) instead of 400.
+var errNonFinite = errors.New("non-finite value")
+
+// floatsStatus maps a parseFloats error to its HTTP status: 422 for
+// non-finite values, 400 for syntax the parser could not read at all.
+func floatsStatus(err error) int {
+	if errors.Is(err, errNonFinite) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
+}
+
+func parseFloats(csv string) ([]float64, error) {
+	if strings.TrimSpace(csv) == "" {
+		return nil, nil
+	}
+	parts := strings.Split(csv, ",")
+	out := make([]float64, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			// Overflow is valid syntax whose value is ±Inf — the same
+			// non-finite rejection as a literal Inf, not a 400.
+			if errors.Is(err, strconv.ErrRange) {
+				return nil, fmt.Errorf("%w %q", errNonFinite, strings.TrimSpace(p))
+			}
+			return nil, fmt.Errorf("bad number %q", p)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w %q", errNonFinite, strings.TrimSpace(p))
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // designCloseRequest is the POST /design/{id}/close body: the repair

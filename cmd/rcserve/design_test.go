@@ -170,26 +170,36 @@ func TestDesignStoreTTLAndEviction(t *testing.T) {
 	b := st.create(&designSession{})
 	st.release(b)
 	clock = clock.Add(time.Second)
-	// Third create evicts the LRU entry (a).
-	c := st.create(&designSession{})
-	st.release(c)
-	if _, ok := st.get(a.id); ok {
-		t.Error("LRU entry survived eviction")
-	}
-	if ent, ok := st.get(b.id); !ok {
-		t.Error("fresh entry evicted")
+	// A get refreshes a's LRU position: b is now the least recently used.
+	if ent, ok := st.get(a.id); !ok {
+		t.Fatal("entry a should be alive")
 	} else {
 		st.release(ent)
 	}
-	// Expiry via TTL.
+	// Third create evicts the LRU entry (b), not the older but touched a.
+	c := st.create(&designSession{})
+	st.release(c)
+	if _, ok := st.get(b.id); ok {
+		t.Error("LRU entry survived eviction")
+	}
+	if ent, ok := st.get(a.id); !ok {
+		t.Error("recently read entry evicted")
+	} else {
+		st.release(ent)
+	}
+	// Expiry via TTL, on access...
 	clock = clock.Add(2 * time.Minute)
 	if _, ok := st.get(c.id); ok {
 		t.Error("expired entry served")
 	}
+	// ...and on sweep.
 	st.sweep()
 	stats := st.stats()
 	if stats["active"].(int) != 0 {
 		t.Errorf("stats = %v", stats)
+	}
+	if stats["evicted"].(int64) != 1 || stats["expired"].(int64) != 2 {
+		t.Errorf("counters = %v, want evicted 1, expired 2", stats)
 	}
 	d := st.create(&designSession{})
 	st.release(d)

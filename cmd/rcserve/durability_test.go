@@ -322,3 +322,59 @@ func TestDesignCloseLogsMoves(t *testing.T) {
 		t.Errorf("recovered edits = %v, want %v", info2["edits"], info["edits"])
 	}
 }
+
+// TestDesignCrashRecoveryBounds: single-tree editing is durable. A one-net
+// design takes value and structural edits under -data-dir (with snapshots
+// inside the run, so recovery replays a snapshot plus a log tail), its
+// bounds are read, the process is abandoned without a drain, and a fresh
+// process on the same data dir answers the same bounds — times, delay and
+// voltage tables of every output — to 1e-9.
+func TestDesignCrashRecoveryBounds(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := walServer(t, dir)
+	srv1.snapEvery = 4
+
+	body, _ := json.Marshal(map[string]any{"design": treeDesign(fig7Deck)})
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	for i, batch := range []string{
+		`{"op": "setR", "net": "x", "node": "n1", "r": 20}`,
+		`{"op": "grow", "net": "x", "parent": "b", "name": "tap", "kind": "line", "r": 4, "c": 2}`,
+		`{"op": "addC", "net": "x", "node": "tap", "c": 1.5}`,
+		`{"op": "addOutput", "net": "x", "node": "tap"}`,
+		`{"op": "scaleDriver", "net": "x", "factor": 1.25}`,
+		`{"op": "grow", "net": "x", "parent": "n1", "name": "gin", "kind": "resistor", "r": 2},
+		 {"op": "grow", "net": "x", "parent": "gin", "name": "gfar", "kind": "resistor", "r": 5},
+		 {"op": "addC", "net": "x", "node": "gfar", "c": 1},
+		 {"op": "addOutput", "net": "x", "node": "gfar"}`,
+		`{"op": "setLine", "net": "x", "node": "n2", "r": 6, "c": 3}`,
+		`{"op": "prune", "net": "x", "node": "tap"}`,
+		`{"op": "setC", "net": "x", "node": "b", "c": 3.5}`,
+	} {
+		if code, resp := serveJSON(t, srv1, http.MethodPost, "/design/"+id+"/edit", `{"edits": [`+batch+`]}`); code != http.StatusOK {
+			t.Fatalf("edit batch %d = %d: %v", i, code, resp)
+		}
+	}
+	const query = "/bounds?net=x&thresholds=0.1,0.5,0.9&times=50,200"
+	code, live := serveJSON(t, srv1, http.MethodGet, "/design/"+id+query, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET bounds = %d: %v", code, live)
+	}
+	want := boundsTable(t, live)
+	if _, ok := want["gfar.voltage1.vmax"]; !ok {
+		t.Fatalf("live bounds lack the grafted output's tables: %v", want)
+	}
+
+	srv2, n := walServer(t, dir) // srv1 abandoned: no drain, no final snapshot
+	if n != 1 {
+		t.Fatalf("recovered %d designs, want 1", n)
+	}
+	code, got := serveJSON(t, srv2, http.MethodGet, "/design/"+id+query, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET recovered bounds = %d: %v", code, got)
+	}
+	assertTablesClose(t, "recovered bounds", boundsTable(t, got), want)
+}

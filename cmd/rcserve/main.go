@@ -9,23 +9,23 @@
 //
 // Endpoints:
 //
-//	GET    /healthz             liveness plus engine/cache/session statistics
+//	GET    /healthz             liveness plus engine/cache/design statistics
 //	POST   /analyze             characteristic times and bound tables
 //	POST   /certify             deadline certification verdicts
-//	POST   /session             open an incremental editing session
-//	GET    /session/{id}        session info
-//	POST   /session/{id}/edit   apply local edits (O(depth) each, not O(n))
-//	GET    /session/{id}/bounds current bound tables of every output
-//	DELETE /session/{id}        close a session
 //	POST   /design              analyze a multi-net chip design (levelized
 //	                            interval-arrival timing over the worker pool)
 //	                            and open an incremental re-timing session
 //	GET    /design/{id}         design summary (WNS/TNS, verdict counts)
 //	POST   /design/{id}/edit    apply ECO edits; only the edited nets and
 //	                            their downstream fanout cones are re-timed
+//	GET    /design/{id}/bounds  one net's characteristic times and delay/
+//	                            voltage bound tables (?net=&output=
+//	                            &thresholds=&times=)
 //	POST   /design/{id}/close   automated timing closure: repair the design
 //	                            until WNS >= 0 or a budget runs out, and
 //	                            return the accepted edits + trajectory
+//	POST   /design/{id}/corners multi-corner Monte Carlo variation report of
+//	                            the current design state
 //	GET    /design/{id}/slack   full endpoint slack table + critical paths
 //	DELETE /design/{id}         drop an analyzed design
 //	GET    /metrics             Prometheus text exposition: per-route request
@@ -58,18 +58,16 @@
 // answered as {"results": [...]} with per-job "error" fields, so one bad
 // deck does not fail its neighbors.
 //
-// The session endpoints serve interactive clients: open a session once with
-// the full deck, then stream local edits ({"edits": [{"op": "setR", "node":
-// "n3", "r": 5}, ...]}) and re-read bounds — each probe costs O(depth) on
-// the server instead of a full reparse and O(n) reanalysis. Idle sessions
-// expire after -session-ttl.
-//
-// The design endpoints scale the same idea to chip level: POST /design pays
-// the full levelized analysis once, and POST /design/{id}/edit absorbs ECO
-// edits ({"edits": [{"op": "setR", "net": "drv", "node": "o", "r": 5}]}) by
+// The design endpoints serve interactive clients: POST /design pays the
+// full levelized analysis once, and POST /design/{id}/edit absorbs ECO edits
+// ({"edits": [{"op": "setR", "net": "drv", "node": "o", "r": 5}]}) by
 // re-timing only the edited nets' downstream cones, answering with the
 // updated WNS/TNS, the dirty-cone statistics, and which previously reported
-// critical paths the edit invalidated.
+// critical paths the edit invalidated. A single tree is edited the same way
+// as a one-net design (its deck wrapped in ".net x" ... ".endnet"): each
+// edit plus GET /design/{id}/bounds?net=x re-read costs O(depth) on the
+// server instead of a full reparse and O(n) reanalysis. Idle designs expire
+// after -session-ttl.
 //
 // POST /design/{id}/close turns the session over to the automated
 // timing-closure engine: candidate repairs (driver sizing, wire
@@ -108,7 +106,8 @@ import (
 )
 
 // Server defaults, shared by the flag declarations and the zero-config
-// construction paths (newServer, newSessionStore) so they cannot drift.
+// construction paths (newServer, storeConfig.withDefaults) so they cannot
+// drift.
 const (
 	defaultSessionTTL  = 15 * time.Minute
 	defaultMaxSessions = 1024
@@ -124,14 +123,14 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		cache       = flag.Int("cache", 0, "memoization cache entries (0 = default, negative = disabled)")
-		sessionTTL  = flag.Duration("session-ttl", defaultSessionTTL, "idle lifetime of editing sessions")
-		maxSessions = flag.Int("max-sessions", defaultMaxSessions, "maximum live editing sessions (LRU-evicted beyond)")
+		sessionTTL  = flag.Duration("session-ttl", defaultSessionTTL, "idle lifetime of design sessions")
+		maxSessions = flag.Int("max-sessions", defaultMaxSessions, "maximum live design sessions (LRU-evicted beyond)")
 		maxBody     = flag.Int64("max-body", defaultMaxBody, "maximum request body size in bytes")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown drain waits for in-flight requests")
 		shards      = flag.Int("shards", defaultStoreShards, "id-hash lock shards per store")
 		shardQueue  = flag.Int("shard-queue", defaultShardQueue, "per-shard admission-queue depth (beyond it heavy requests get 429)")
-		editRate    = flag.Float64("edit-rate", 0, "per-session sustained edits/second (0 = unlimited; beyond it edits get 429)")
-		editBurst   = flag.Float64("edit-burst", defaultEditBurst, "per-session edit token-bucket burst")
+		editRate    = flag.Float64("edit-rate", 0, "per-design-session sustained edits/second (0 = unlimited; beyond it edits get 429)")
+		editBurst   = flag.Float64("edit-burst", defaultEditBurst, "per-design-session edit token-bucket burst")
 		dataDir     = flag.String("data-dir", "", "durability directory: per-design WAL + snapshots (empty = in-memory only)")
 		snapEvery   = flag.Int("snapshot-every", defaultSnapEvery, "WAL edits that trigger an automatic design snapshot")
 		snapEach    = flag.Duration("snapshot-interval", 30*time.Second, "periodic snapshotter cadence (0 disables the timer)")
@@ -147,13 +146,11 @@ func main() {
 	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: *workers, CacheSize: *cache}))
 	srv.tracer = trace.New(trace.Options{Capacity: *traceBuf, SlowThreshold: *traceSlow})
 	srv.logger = logger
-	cfg := storeConfig{
+	srv.designs = newDesignStore(storeConfig{
 		ttl: *sessionTTL, max: *maxSessions,
 		shards: *shards, queue: *shardQueue,
 		editRate: *editRate, editBurst: *editBurst,
-	}
-	srv.sessions = newSessionStore(cfg)
-	srv.designs = newDesignStore(cfg)
+	})
 	srv.registerStoreGauges()
 	srv.maxBody = *maxBody
 	srv.snapEvery = *snapEvery
@@ -168,7 +165,6 @@ func main() {
 		logger.Info("rcserve: recovered designs", "dataDir", *dataDir, "designs", n)
 	}
 	janitorStop := make(chan struct{})
-	go srv.sessions.janitor(janitorStop)
 	go srv.designs.janitor(janitorStop)
 	if srv.wal != nil && *snapEach > 0 {
 		go srv.snapshotter(*snapEach, janitorStop)
@@ -186,7 +182,7 @@ func main() {
 
 	// Signal-driven drain: on SIGINT/SIGTERM flip /readyz to 503 (load
 	// balancers stop sending), let in-flight requests finish under
-	// http.Server.Shutdown, then stop the janitors and sweep the stores.
+	// http.Server.Shutdown, then stop the janitor and sweep the store.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
@@ -205,7 +201,6 @@ func main() {
 			os.Exit(1)
 		}
 		close(janitorStop)
-		srv.sessions.sweep()
 		srv.designs.sweep()
 		if n, err := srv.snapshotAll(); err != nil {
 			logger.Error("rcserve: final snapshot incomplete", "err", err)
@@ -216,14 +211,13 @@ func main() {
 	}
 }
 
-// server routes HTTP requests into a shared batch engine and a session
+// server routes HTTP requests into a shared batch engine and a design
 // store. It implements http.Handler so tests can drive it through httptest
 // without a socket. Every server owns its own metrics registry — two
 // servers in one process (as in tests) never alias each other's counters,
 // which the old process-global expvar registration could not guarantee.
 type server struct {
 	engine   *rcdelay.BatchEngine
-	sessions *sessionStore
 	designs  *designStore
 	maxBody  int64
 	mux      *http.ServeMux
@@ -269,8 +263,7 @@ func (s *server) handle(pattern string, h http.HandlerFunc) {
 func newServer(engine *rcdelay.BatchEngine) *server {
 	s := &server{
 		engine:    engine,
-		sessions:  newSessionStore(storeConfig{}), // zero config selects the defaults
-		designs:   newDesignStore(storeConfig{}),
+		designs:   newDesignStore(storeConfig{}), // zero config selects the defaults
 		maxBody:   defaultMaxBody,
 		snapEvery: defaultSnapEvery,
 		mux:       http.NewServeMux(),
@@ -284,16 +277,12 @@ func newServer(engine *rcdelay.BatchEngine) *server {
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("POST /analyze", s.handleAnalyze)
 	s.handle("POST /certify", s.handleCertify)
-	s.handle("POST /session", s.handleSessionCreate)
-	s.handle("POST /session/{id}/edit", s.handleSessionEdit)
-	s.handle("GET /session/{id}/bounds", s.handleSessionBounds)
-	s.handle("GET /session/{id}", s.handleSessionInfo)
-	s.handle("DELETE /session/{id}", s.handleSessionDelete)
 	s.handle("POST /design", s.handleDesignCreate)
 	s.handle("POST /design/{id}/edit", s.handleDesignEdit)
 	s.handle("POST /design/{id}/close", s.handleDesignClose)
 	s.handle("POST /design/{id}/corners", s.handleDesignCorners)
 	s.handle("GET /design/{id}/slack", s.handleDesignSlack)
+	s.handle("GET /design/{id}/bounds", s.handleDesignBounds)
 	s.handle("GET /design/{id}", s.handleDesignInfo)
 	s.handle("DELETE /design/{id}", s.handleDesignDelete)
 	s.handle("GET /debug/traces", s.handleTraceList)
@@ -308,11 +297,10 @@ func newServer(engine *rcdelay.BatchEngine) *server {
 }
 
 // registerStoreGauges (re)binds the sampled gauges to the server's current
-// stores and engine; main calls it again after swapping the default stores
-// for flag-configured ones.
+// store and engine; main calls it again after swapping the default store
+// for a flag-configured one.
 func (s *server) registerStoreGauges() {
 	s.obs.GaugeFunc("rcserve_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
-	s.obs.GaugeFunc("rcserve_sessions_active", func() float64 { return float64(s.sessions.active()) })
 	s.obs.GaugeFunc("rcserve_designs_active", func() float64 { return float64(s.designs.active()) })
 	s.obs.GaugeFunc("rcserve_cache_entries", func() float64 { return float64(s.engine.CacheStats().Entries) })
 	s.obs.GaugeFunc("rcserve_cache_hits", func() float64 { return float64(s.engine.CacheStats().Hits) })
@@ -322,7 +310,7 @@ func (s *server) registerStoreGauges() {
 // count bumps one named registry counter by n.
 func (s *server) count(name string, n int64) { s.obs.Counter(name).Add(n) }
 
-// statsSnapshot aggregates the engine, cache and session counters for
+// statsSnapshot aggregates the engine, cache and design-store counters for
 // /healthz.
 func (s *server) statsSnapshot() map[string]any {
 	stats := s.engine.CacheStats()
@@ -336,15 +324,12 @@ func (s *server) statsSnapshot() map[string]any {
 			"evictions": stats.Evictions,
 			"entries":   stats.Entries,
 		},
-		"sessions": s.sessions.stats(),
-		"designs":  s.designs.stats(),
+		"designs": s.designs.stats(),
 		"requests": map[string]any{
 			"analyze": val("rcserve_analyze_requests_total"),
 			"certify": val("rcserve_certify_requests_total"),
-			"session": val("rcserve_session_requests_total"),
 			"design":  val("rcserve_design_requests_total"),
 		},
-		"editsApplied":  val("rcserve_edits_applied_total"),
 		"boundsQueries": val("rcserve_bounds_queries_total"),
 		"designEdits":   val("rcserve_design_edits_total"),
 		"slackQueries":  val("rcserve_slack_queries_total"),
@@ -380,14 +365,14 @@ func errorBody(r *http.Request, msg string) map[string]any {
 	return body
 }
 
-// httpError writes a JSON error envelope (the session endpoints speak JSON
+// httpError writes a JSON error envelope (the design endpoints speak JSON
 // end to end; plain-text errors are awkward for interactive clients).
 func httpError(w http.ResponseWriter, r *http.Request, msg string, status int) {
 	writeJSON(w, status, errorBody(r, msg))
 }
 
 // rateLimited answers 429 with a Retry-After hint — the backpressure signal
-// for both the per-session edit-rate limit and a full shard queue.
+// for both the per-design edit-rate limit and a full shard queue.
 func rateLimited(w http.ResponseWriter, r *http.Request, msg string) {
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests, errorBody(r, msg))
@@ -561,6 +546,19 @@ type outputJSON struct {
 	Voltage []voltageRowJSON `json:"voltage,omitempty"`
 }
 
+// newOutputJSON renders one output's characteristic times and bound tables,
+// shared by the batch routes and GET /design/{id}/bounds.
+func newOutputJSON(name string, tm rcdelay.Times, delay []rcdelay.DelayRow, voltage []rcdelay.VoltageRow) outputJSON {
+	oj := outputJSON{Name: name, Times: timesJSON{TP: tm.TP, TD: tm.TD, TR: tm.TR, Ree: tm.Ree}}
+	for _, row := range delay {
+		oj.Delay = append(oj.Delay, delayRowJSON{V: row.V, TMin: row.TMin, TMax: row.TMax})
+	}
+	for _, row := range voltage {
+		oj.Voltage = append(oj.Voltage, voltageRowJSON{T: row.T, VMin: row.VMin, VMax: row.VMax})
+	}
+	return oj
+}
+
 type checkJSON struct {
 	Output  string  `json:"output"`
 	V       float64 `json:"v"`
@@ -687,17 +685,7 @@ func renderJob(res rcdelay.BatchResult, certify bool) jobJSON {
 	}
 	if !certify {
 		for _, rep := range res.Outputs {
-			oj := outputJSON{
-				Name:  rep.Name,
-				Times: timesJSON{TP: rep.Times.TP, TD: rep.Times.TD, TR: rep.Times.TR, Ree: rep.Times.Ree},
-			}
-			for _, row := range rep.Delay {
-				oj.Delay = append(oj.Delay, delayRowJSON{V: row.V, TMin: row.TMin, TMax: row.TMax})
-			}
-			for _, row := range rep.Voltage {
-				oj.Voltage = append(oj.Voltage, voltageRowJSON{T: row.T, VMin: row.VMin, VMax: row.VMax})
-			}
-			out.Outputs = append(out.Outputs, oj)
+			out.Outputs = append(out.Outputs, newOutputJSON(rep.Name, rep.Times, rep.Delay, rep.Voltage))
 		}
 	}
 	for _, c := range res.Checks {

@@ -211,3 +211,27 @@ func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
 }
+
+// TestBodyCap: requests beyond -max-body are rejected with 413 on both the
+// batch and design surfaces.
+func TestBodyCap(t *testing.T) {
+	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: 1}))
+	srv.logger = slog.New(slog.DiscardHandler)
+	srv.maxBody = 256
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	pad := strings.Repeat("* pad\\n", 200)
+	for _, tc := range []struct{ path, body string }{
+		{"/analyze", `{"netlist": "` + pad + `"}`},
+		{"/design", `{"design": "` + pad + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s big body: status %d, want 413", tc.path, resp.StatusCode)
+		}
+	}
+}

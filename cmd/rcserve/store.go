@@ -67,8 +67,8 @@ func (c storeConfig) withDefaults() storeConfig {
 	return c
 }
 
-// ttlStore owns live server-side state handed out by id — editing sessions,
-// analyzed designs — with one shared lifecycle discipline: TTL-based expiry
+// ttlStore owns live server-side state handed out by id — the analyzed
+// design sessions — with one lifecycle discipline: TTL-based expiry
 // (entries idle for the full ttl are dropped on access or sweep) plus a
 // global LRU cap so a flood of clients cannot hold unbounded state in
 // memory. The map is split across id-hash shards, each with its own lock,
@@ -78,7 +78,7 @@ func (c storeConfig) withDefaults() storeConfig {
 // Lifecycle safety: get and create return entries pinned (refs > 0); the
 // caller must release them when its request is done. Eviction — TTL sweep
 // and LRU displacement alike — skips pinned entries, so a handler holding a
-// *session can never have the store drop it mid-edit.
+// *designSession can never have the store drop it mid-edit.
 type ttlStore[T any] struct {
 	cfg    storeConfig
 	now    func() time.Time // injected for tests

@@ -131,7 +131,7 @@ func ExampleAnalyzeBatch() {
 
 // Interactive probing: wrap a tree in an EditTree and every local edit plus
 // re-query costs O(depth) instead of a full O(n) reanalysis — the engine
-// behind opt's bisection loops and rcserve's /session endpoints.
+// behind opt's bisection loops and rcserve's one-net design edits.
 func ExampleNewEditTree() {
 	tree, err := rcdelay.ParseNetlist(
 		".input in\nR1 in mid 15\nC1 mid 0 2\nR2 mid far 8\nC2 far 0 7\n.output far\n")

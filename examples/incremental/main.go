@@ -4,8 +4,9 @@
 // certified bounds after each one. Every probe costs O(depth) instead of the
 // O(n)-per-output full analysis, which is what makes "drag the slider and
 // watch the slack" workloads feasible (BenchmarkIncrementalSweep measures
-// the gap at ~75x on a 1000-node tree, and cmd/rcserve's /session endpoints
-// expose exactly this loop over HTTP).
+// the gap at ~75x on a 1000-node tree, and cmd/rcserve exposes exactly this
+// loop over HTTP as a one-net design: POST /design/{id}/edit, then GET
+// /design/{id}/bounds).
 package main
 
 import (

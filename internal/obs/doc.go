@@ -9,7 +9,7 @@
 //
 //	reg := obs.NewRegistry()
 //	reg.Counter("closure_moves_accepted_total").Add(1)
-//	reg.Gauge("rcserve_sessions_active").Set(float64(n))
+//	reg.Gauge("rcserve_designs_active").Set(float64(n))
 //	reg.Histogram("http_request_seconds", obs.LatencyBuckets,
 //	    "route", "POST /design").Observe(dt.Seconds())
 //

@@ -203,9 +203,7 @@ func FormatEdits(edits []Edit) string {
 			} else {
 				fmt.Fprintf(&sb, "grow %s.%s %s resistor %s\n", e.Net, e.Parent, e.Name, g(e.R))
 			}
-		case "prune", "addOutput", "removeOutput":
-			fmt.Fprintf(&sb, "%s %s.%s\n", e.Op, e.Net, e.Node)
-		default:
+		default: // prune, addOutput, removeOutput; unknown ops fail the reparse
 			fmt.Fprintf(&sb, "%s %s.%s\n", e.Op, e.Net, e.Node)
 		}
 	}

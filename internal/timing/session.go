@@ -350,6 +350,43 @@ func (s *Session) ViewNetTree(net string) (*incr.EditTree, bool) {
 	return s.trees[i], true
 }
 
+// NodeTimes is one node's characteristic times, as NetTimes reports them.
+type NodeTimes struct {
+	Node  string
+	Times rctree.Times
+}
+
+// NetTimes returns the characteristic times (TP, TD, TR, Ree) at node of
+// net — any node, designated output or not — or at every designated output
+// of net when node is "". Times fills a per-tree memo, which ViewNetTree
+// forbids, so the net's tree is taken through ownTree first: a tree still
+// shared with a fork is cloned before the read, and concurrent forks never
+// write one memo. Like Apply, it must not race other use of this Session.
+func (s *Session) NetTimes(net, node string) ([]NodeTimes, error) {
+	i, ok := s.g.index[net]
+	if !ok {
+		return nil, fmt.Errorf("timing: unknown net %q", net)
+	}
+	et := s.ownTree(i)
+	ids := et.Outputs()
+	if node != "" {
+		id, ok := et.Lookup(node)
+		if !ok {
+			return nil, fmt.Errorf("timing: unknown node %q in net %q", node, net)
+		}
+		ids = []incr.NodeID{id}
+	}
+	out := make([]NodeTimes, len(ids))
+	for k, id := range ids {
+		tm, err := et.Times(id)
+		if err != nil {
+			return nil, fmt.Errorf("timing: %s.%s: %w", net, et.Name(id), err)
+		}
+		out[k] = NodeTimes{Node: et.Name(id), Times: tm}
+	}
+	return out, nil
+}
+
 // ProtectedOutputs lists net's outputs that stage edges tap or .require
 // cards pin — the ones structural guards will refuse to prune or
 // undesignate — in sorted order.

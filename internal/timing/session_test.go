@@ -615,3 +615,63 @@ func TestSessionClosureAccessors(t *testing.T) {
 		t.Error("CloneNetTree on an unknown net should fail")
 	}
 }
+
+// TestSessionNetTimes: NetTimes answers any node's characteristic times —
+// every designated output by default — equal to a full analysis of the net's
+// tree, and forks sharing a net's tree can read it concurrently: each takes
+// its own copy before Times fills a memo (under -race, reading the shared
+// tree directly is flagged here).
+func TestSessionNetTimes(t *testing.T) {
+	d, err := netlist.ParseDesign(".net x\n.input in\nR1 in n1 15\nC1 n1 0 2\nR2 n1 b 8\nC2 b 0 7\n" +
+		"U1 n1 n2 3 4\nC3 n2 0 9\n.output n2\n.endnet\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := d.Nets[0].Tree
+	s := newTestSession(t, d, Options{})
+	check := func(s *Session, node string, want []string) {
+		t.Helper()
+		got, err := s.NetTimes("x", node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("NetTimes(x, %q) = %+v, want nodes %v", node, got, want)
+		}
+		for k, nt := range got {
+			id, _ := tree.Lookup(want[k])
+			ref, err := tree.CharacteristicTimes(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nt.Node != want[k] || !closeEnough(nt.Times.TP, ref.TP) || !closeEnough(nt.Times.TD, ref.TD) ||
+				!closeEnough(nt.Times.TR, ref.TR) || !closeEnough(nt.Times.Ree, ref.Ree) {
+				t.Errorf("NetTimes(x, %q)[%d] = %+v, want %s %+v", node, k, nt, want[k], ref)
+			}
+		}
+	}
+	check(s, "", []string{"n2"})
+	check(s, "b", []string{"b"}) // not a designated output
+	if _, err := s.NetTimes("ghost", ""); err == nil {
+		t.Error("NetTimes on an unknown net should fail")
+	}
+	if _, err := s.NetTimes("x", "ghost"); err == nil {
+		t.Error("NetTimes on an unknown node should fail")
+	}
+
+	forks := []*Session{s.Fork(), s.Fork(), s.Fork()}
+	var wg sync.WaitGroup
+	for _, f := range forks {
+		wg.Add(1)
+		go func(f *Session) {
+			defer wg.Done()
+			for _, node := range []string{"n1", "b", "n2"} {
+				if _, err := f.NetTimes("x", node); err != nil {
+					t.Error(err)
+				}
+			}
+		}(f)
+	}
+	wg.Wait()
+	check(s, "n1", []string{"n1"})
+}
