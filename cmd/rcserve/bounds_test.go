@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	rcdelay "repro"
 )
@@ -317,6 +319,53 @@ func TestSessionDelete(t *testing.T) {
 	}
 	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/design/"+id, ""); status != http.StatusNotFound {
 		t.Errorf("deleted design still answers: %d", status)
+	}
+}
+
+// TestSessionTTLAndEviction: one-net designs obey the store's capacity and
+// idle TTL — a read refreshes LRU order, the least recently used design is
+// evicted at capacity, and idle designs expire on access and on sweep.
+func TestSessionTTLAndEviction(t *testing.T) {
+	srv, ts := testServer(t)
+	var clock atomic.Int64 // unix nanoseconds; handlers read it concurrently
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	srv.designs = newDesignStore(storeConfig{ttl: time.Minute, max: 2})
+	srv.designs.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	advance := func(d time.Duration) { clock.Add(int64(d)) }
+	alive := func(id string) bool {
+		t.Helper()
+		status, _ := doJSON(t, http.MethodGet, ts.URL+"/design/"+id, "")
+		return status == http.StatusOK
+	}
+
+	a := openTree(t, ts, fig7Deck)
+	advance(30 * time.Second)
+	b := openTree(t, ts, fig7Deck)
+	advance(time.Second)
+	if !alive(a) { // touches a: b is now the LRU entry
+		t.Fatal("session a should be alive")
+	}
+	// a was just touched; c's creation must evict the LRU entry, b.
+	c := openTree(t, ts, fig7Deck)
+	if alive(b) {
+		t.Error("LRU session b should have been evicted at capacity")
+	}
+	if !alive(c) {
+		t.Error("session c should be alive")
+	}
+	// Idle past the TTL expires on access...
+	advance(2 * time.Minute)
+	if alive(a) {
+		t.Error("session a should have expired")
+	}
+	// ...and on sweep.
+	srv.designs.sweep()
+	stats := srv.designs.stats()
+	if stats["active"].(int) != 0 {
+		t.Errorf("active = %v after sweep, want 0", stats["active"])
+	}
+	if stats["evicted"].(int64) != 1 || stats["expired"].(int64) != 2 {
+		t.Errorf("counters = %v", stats)
 	}
 }
 
