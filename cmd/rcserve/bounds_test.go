@@ -394,3 +394,43 @@ func TestBoundsRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundsRejectsThresholdAtOrAboveOne checks a threshold the output never
+// provably crosses (TMax = +Inf, which JSON cannot carry) is a 422 on
+// bounds and a per-job error on /analyze, not a 200 with an empty body.
+func TestBoundsRejectsThresholdAtOrAboveOne(t *testing.T) {
+	_, ts := testServer(t)
+	id := openTree(t, ts, fig7Deck)
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"thresholds=1", http.StatusUnprocessableEntity},
+		{"thresholds=0.5,1.5&times=100", http.StatusUnprocessableEntity},
+		{"thresholds=0.999,0,-1&times=100", http.StatusOK},
+	} {
+		status, body := doJSON(t, http.MethodGet, ts.URL+"/design/"+id+"/bounds?net=x&"+tc.query, "")
+		if status != tc.want {
+			t.Errorf("bounds?%s = %d, want %d: %v", tc.query, status, tc.want, body)
+		}
+		if msg, _ := body["error"].(string); tc.want != http.StatusOK && !strings.Contains(msg, "below 1") {
+			t.Errorf("bounds?%s error = %q", tc.query, msg)
+		}
+	}
+
+	status, body := post(t, ts.URL+"/analyze", `{"netlist": `+jsonString(fig7Deck)+`, "thresholds": [1]}`)
+	if msg, _ := body["error"].(string); status != http.StatusUnprocessableEntity || !strings.Contains(msg, "below 1") {
+		t.Errorf("analyze thresholds [1] = %d: %v", status, body)
+	}
+	status, body = post(t, ts.URL+"/analyze", `{"jobs": [{"netlist": `+jsonString(fig7Deck)+`, "thresholds": [0.5]}, {"netlist": `+jsonString(fig7Deck)+`, "thresholds": [0.5, 1]}]}`)
+	results, _ := body["results"].([]any)
+	if status != http.StatusOK || len(results) != 2 {
+		t.Fatalf("analyze batch = %d: %v", status, body)
+	}
+	if first := results[0].(map[string]any); first["error"] != nil || first["outputs"] == nil {
+		t.Errorf("valid job = %v", first)
+	}
+	if msg, _ := results[1].(map[string]any)["error"].(string); !strings.Contains(msg, "below 1") {
+		t.Errorf("threshold-1 job error = %q", msg)
+	}
+}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"sync"
 
 	rcdelay "repro"
+	"repro/internal/jsonw"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -241,8 +244,7 @@ func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 
 // handleDesignSlack returns the session's current chip report: the full
 // endpoint slack table (worst first) and the critical paths, re-derived
-// incrementally after edits. The report type carries its own JSON-safe
-// marshaling.
+// incrementally after edits, as {gen, id, report}.
 func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_slack_queries_total", 1)
@@ -259,14 +261,30 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	ds := ent.val
 	ds.mu.Lock()
 	// Reports are immutable once built (edits build fresh ones), so the
-	// snapshot can be marshaled outside the lock.
+	// snapshot can be encoded outside the lock.
 	gen, report := ds.sess.Gen(), ds.sess.Report()
 	ds.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":     ent.id,
-		"gen":    gen,
-		"report": report,
+	body, err := s.encodeReport(r.Context(), func(jw *jsonw.Writer) {
+		jw.Object()
+		jw.Key("gen").Uint(gen)
+		jw.Key("id").String(ent.id)
+		jw.Key("report")
+		report.EncodeJSON(jw)
+		jw.EndObject()
 	})
+	writeBody(w, http.StatusOK, body, err)
+}
+
+// encodeReport renders a report response body in one indented pass, under
+// an rcserve_encode span so the encode is not root self-time. The body is
+// complete before any header goes out, so an encode failure can still
+// answer 500.
+func (s *server) encodeReport(ctx context.Context, encode func(*jsonw.Writer)) ([]byte, error) {
+	_, op := trace.StartOp(ctx, s.obs, "rcserve_encode")
+	defer op.End()
+	body, err := jsonw.MarshalIndent(encode)
+	op.SetError(err)
+	return body, err
 }
 
 // designBoundsResponse answers GET /design/{id}/bounds: one net's
@@ -295,6 +313,10 @@ func (s *server) handleDesignBounds(w http.ResponseWriter, r *http.Request) {
 	thresholds, err := parseFloats(q.Get("thresholds"))
 	if err != nil {
 		httpError(w, r, fmt.Sprintf("thresholds: %v", err), floatsStatus(err))
+		return
+	}
+	if err := checkThresholds(thresholds); err != nil {
+		httpError(w, r, fmt.Sprintf("thresholds: %v", err), http.StatusUnprocessableEntity)
 		return
 	}
 	times, err := parseFloats(q.Get("times"))
@@ -341,6 +363,18 @@ func floatsStatus(err error) int {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
+}
+
+// checkThresholds rejects switching thresholds at or above 1: the output
+// never provably crosses them, so their TMax is +Inf, which JSON cannot
+// carry. Thresholds at or below 0 are crossed at once (TMin = TMax = 0).
+func checkThresholds(vs []float64) error {
+	for _, v := range vs {
+		if v >= 1 {
+			return fmt.Errorf("threshold %g is out of range: must be below 1", v)
+		}
+	}
+	return nil
 }
 
 func parseFloats(csv string) ([]float64, error) {
@@ -472,17 +506,10 @@ type designCornersRequest struct {
 	Sequential bool             `json:"sequential,omitempty"`
 }
 
-// designCornersResponse answers with the multi-corner variation report for
-// the session's current (post-edit) design state, tagged with the generation
-// it was computed at.
-type designCornersResponse struct {
-	ID     string                `json:"id"`
-	Gen    uint64                `json:"gen"`
-	Report *rcdelay.CornerReport `json:"report"`
-}
-
 // handleDesignCorners runs the multi-corner Monte Carlo sweep on the live
-// session's current design. The design is materialized under the session
+// session's current design and answers {id, gen, report}: the variation
+// report for the session's current (post-edit) state, tagged with the
+// generation it was computed at. The design is materialized under the session
 // lock (a consistent snapshot at one generation), then the sweep — the
 // expensive part — runs outside it, so edits are not blocked behind a long
 // variation analysis.
@@ -531,7 +558,15 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	writeJSON(w, http.StatusOK, designCornersResponse{ID: ent.id, Gen: gen, Report: report})
+	body, err := s.encodeReport(r.Context(), func(jw *jsonw.Writer) {
+		jw.Object()
+		jw.Key("id").String(ent.id)
+		jw.Key("gen").Uint(gen)
+		jw.Key("report")
+		report.EncodeJSON(jw)
+		jw.EndObject()
+	})
+	writeBody(w, http.StatusOK, body, err)
 }
 
 func (s *server) handleDesignDelete(w http.ResponseWriter, r *http.Request) {

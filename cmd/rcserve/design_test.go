@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	rcdelay "repro"
+	"repro/internal/randnet"
 )
 
 const chipDeck = `
@@ -662,4 +664,95 @@ func TestDesignCorners(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Errorf("unknown id = %d", w.Code)
 	}
+}
+
+// TestReportEnvelopesMatchEncodingJSON pins the single-pass slack and
+// corners bodies to what encoding/json writes for the same envelopes — the
+// {gen, id, report} map and the {id, gen, report} struct the handlers used
+// to marshal — byte for byte, on random designs with failing and
+// unconstrained endpoints, before and after an edit.
+func TestReportEnvelopesMatchEncodingJSON(t *testing.T) {
+	ctx := context.Background()
+	srv := designServer()
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := randnet.DefaultDesignConfig(3, 4)
+		cfg.Net = randnet.DefaultConfig(12)
+		deck := rcdelay.WriteDesign(randnet.DesignSeed(seed, cfg))
+		design, err := rcdelay.ParseDesign(deck) // the values the server parses
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := rcdelay.DesignOptions{Threshold: 0.7, K: 3}
+		if seed != 3 { // seed 3 leaves every endpoint unconstrained
+			probe, err := rcdelay.AnalyzeDesign(ctx, design, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Required = 0.8 * probe.Endpoints[0].Arrival.Max
+		}
+		body, _ := json.Marshal(map[string]any{"design": deck, "threshold": opt.Threshold, "required": opt.Required, "k": opt.K})
+		code, created := postDesign(t, srv, string(body))
+		if code != http.StatusCreated {
+			t.Fatalf("POST /design = %d: %v", code, created)
+		}
+		id := created["id"].(string)
+		local, err := rcdelay.NewDesignSession(ctx, design, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := range 2 {
+			if round == 1 {
+				edit := `{"edits": [{"op": "scaleDriver", "net": "l0n0", "factor": 2}]}`
+				if code, resp := postEdits(t, srv, id, edit); code != http.StatusOK {
+					t.Fatalf("edit = %d: %v", code, resp)
+				}
+				factor := 2.0
+				if _, err := local.Apply([]rcdelay.DesignEdit{{Op: "scaleDriver", Net: "l0n0", Factor: &factor}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := fmt.Sprintf("seed %d round %d", seed, round)
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/design/"+id+"/slack", nil))
+			want := encodeIndent(t, map[string]any{"id": id, "gen": local.Gen(), "report": local.Report()})
+			if w.Code != http.StatusOK || w.Body.String() != want {
+				t.Fatalf("%s: slack body (%d) differs from encoding/json:\n got %.300q\nwant %.300q", label, w.Code, w.Body.String(), want)
+			}
+
+			d, err := local.Design()
+			if err != nil {
+				t.Fatal(err)
+			}
+			corners, err := rcdelay.AnalyzeCorners(ctx, d, rcdelay.CornerOptions{
+				Samples: 8, Seed: 5, Variation: rcdelay.CornerVariation{RSigma: 0.05, CSigma: 0.05},
+				Threshold: opt.Threshold, Required: opt.Required,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/design/"+id+"/corners",
+				strings.NewReader(`{"samples": 8, "seed": 5, "rSigma": 0.05, "cSigma": 0.05}`)))
+			want = encodeIndent(t, struct {
+				ID     string                `json:"id"`
+				Gen    uint64                `json:"gen"`
+				Report *rcdelay.CornerReport `json:"report"`
+			}{id, local.Gen(), corners})
+			if w.Code != http.StatusOK || w.Body.String() != want {
+				t.Fatalf("%s: corners body (%d) differs from encoding/json:\n got %.300q\nwant %.300q", label, w.Code, w.Body.String(), want)
+			}
+		}
+	}
+}
+
+// encodeIndent is the body an Encoder with two-space indent writes for v.
+func encodeIndent(t *testing.T, v any) string {
+	t.Helper()
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

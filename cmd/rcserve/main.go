@@ -56,7 +56,13 @@
 // "checks": [{"output": "o", "v": 0.5, "t": 100}] (omit "output" to check
 // every output). Responses are JSON bound tables in job order; a batch is
 // answered as {"results": [...]} with per-job "error" fields, so one bad
-// deck does not fail its neighbors.
+// deck does not fail its neighbors. Thresholds must be below 1: the output
+// is never guaranteed to cross 1, so its TMax would be +Inf, which JSON
+// cannot carry (bounds answers 422, a job gets an "error").
+//
+// Every response body is encoded in full before the status line goes out,
+// so a body that cannot be encoded is a 500 with a JSON error, never a 200
+// with an empty body.
 //
 // The design endpoints serve interactive clients: POST /design pays the
 // full levelized analysis once, and POST /design/{id}/edit absorbs ECO edits
@@ -87,6 +93,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -651,6 +658,9 @@ func buildJob(spec jobRequest, certify bool) (rcdelay.BatchJob, error) {
 		Thresholds: spec.Thresholds,
 		Times:      spec.Times,
 	}
+	if err := checkThresholds(spec.Thresholds); err != nil {
+		return job, err
+	}
 	for _, c := range spec.Checks {
 		job.Checks = append(job.Checks, rcdelay.BatchCheck{Output: c.Output, V: c.V, T: c.T})
 	}
@@ -694,12 +704,30 @@ func renderJob(res rcdelay.BatchResult, certify bool) jobJSON {
 	return out
 }
 
+// writeJSON answers status with v as indented JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	writeBody(w, status, body, err)
+}
+
+// writeBody answers status with an encoded JSON body, or — when encoding
+// failed (err != nil) — 500 with a JSON error envelope. Bodies are complete
+// before the header is written, so a failed encode can never go out as a
+// success with an empty or truncated body.
+func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		log.Printf("rcserve: encode response: %v", err)
+		msg := map[string]any{"error": fmt.Sprintf("encode response: %v", err)}
+		if id := w.Header().Get("X-Request-Id"); id != "" {
+			msg["requestId"] = id
+		}
+		status = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(msg, "", "  ") // strings always marshal
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("rcserve: encode response: %v", err)
-	}
+	// A failed write means the client is gone; there is no one to tell.
+	// The newline goes separately: appending it could copy a large body.
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, "\n")
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,5 +234,27 @@ func TestBodyCap(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s big body: status %d, want 413", tc.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestWriteJSONEncodeFailure checks a body that cannot be encoded answers
+// 500 with a JSON error envelope instead of the requested status with an
+// empty body: the header must not go out before the encode succeeds.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	w := httptest.NewRecorder()
+	w.Header().Set("X-Request-Id", "req-1")
+	writeJSON(w, http.StatusOK, map[string]any{"tmax": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body is not JSON: %v: %q", err, w.Body.String())
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "unsupported value") || body["requestId"] != "req-1" {
+		t.Errorf("error body = %v", body)
 	}
 }

@@ -142,6 +142,37 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	if !found {
 		t.Errorf("trace %s missing from /debug/traces list", tid)
 	}
+
+	// The slack read encodes its body under an rcserve_encode span, so the
+	// encode is not root self-time.
+	const slackTID = "0af7651916cd43dd8448eb211c80319c"
+	req = httptest.NewRequest(http.MethodGet, "/design/"+id+"/slack", nil)
+	req.Header.Set("traceparent", "00-"+slackTID+"-"+sid+"-01")
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET slack = %d: %s", w.Code, w.Body.String())
+	}
+	code, tree = serveJSON(t, srv, http.MethodGet, "/debug/traces/"+slackTID, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s = %d: %v", slackTID, code, tree)
+	}
+	raw, _ = json.Marshal(tree["spans"])
+	roots = nil
+	if err := json.Unmarshal(raw, &roots); err != nil {
+		t.Fatalf("slack span tree did not decode: %v", err)
+	}
+	root = findSpan(roots, "rcserve.request")
+	if root == nil || root.Attrs["route"] != "GET /design/{id}/slack" {
+		t.Fatalf("no slack rcserve.request span in %s", raw)
+	}
+	enc := findSpan(root.Children, "rcserve_encode")
+	if enc == nil {
+		t.Fatalf("no rcserve_encode span under the slack request in %s", raw)
+	}
+	if enc.ParentID != root.SpanID {
+		t.Errorf("rcserve_encode parent = %q, want %q", enc.ParentID, root.SpanID)
+	}
 }
 
 // TestTraceChromeFormat checks ?format=chrome serves trace-event JSON with

@@ -2,6 +2,7 @@ package mcd
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -62,4 +63,29 @@ func BenchmarkCornerSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCornerReportJSON encodes the corner report of a 6-level × 40-net
+// random design swept over the three default corners with 16 samples each
+// (the repair_serve corners shape) with WriteJSON.
+func BenchmarkCornerReportJSON(b *testing.B) {
+	d := randnet.DesignSeed(1, randnet.DefaultDesignConfig(6, 40))
+	rep, err := Analyze(context.Background(), d, Options{
+		Samples: 16, Seed: 1, Variation: Variation{RSigma: 0.05, CSigma: 0.05},
+		Threshold: 0.7, Required: 300, Sequential: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink countWriter
+	if err := rep.WriteJSON(&sink); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(sink.n))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := rep.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

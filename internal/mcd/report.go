@@ -2,12 +2,13 @@ package mcd
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/jsonw"
 )
 
 // fmtG renders a float compactly, with +Inf as "-" (unconstrained).
@@ -103,91 +104,118 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Wire shapes: +Inf is not representable in JSON, so unconstrained
-// requireds/slacks ride as nil pointers (the timing.Report convention).
-type jsonEndpointDist struct {
-	Net            string   `json:"net"`
-	Output         string   `json:"output"`
-	Required       *float64 `json:"required,omitempty"`
-	NominalArrival float64  `json:"nominalArrival"`
-	NominalSlack   *float64 `json:"nominalSlack,omitempty"`
-	Arrival        Dist     `json:"arrival"`
-	Slack          *Dist    `json:"slack,omitempty"`
-	Criticality    float64  `json:"criticality"`
+// EncodeJSON writes the report's JSON form to w: the one walk behind
+// WriteJSON, MarshalJSON and the rcserve corners envelope. +Inf is not
+// representable in JSON, so an unconstrained required, nominal slack or
+// nominal WNS is omitted, as are the slack and WNS distributions that do not
+// exist (the timing.Report convention). The schema:
+//
+//	{design?, threshold, samples, seed, variation: {rSigma, cSigma}, clipped,
+//	 worstCorner?, corners: [{corner: {name, rScale, cScale}, nominalWns?,
+//	 nominalTns, wns?, tns, endpoints: [{net, output, required?,
+//	 nominalArrival, nominalSlack?, arrival, slack?, criticality}]}]}
+//
+// where wns, tns, arrival and slack are {mean, std, min, max, p50, p95,
+// p99}. An empty corner or endpoint list is null.
+func (r *Report) EncodeJSON(w *jsonw.Writer) {
+	w.Object()
+	if r.Design != "" {
+		w.Key("design").String(r.Design)
+	}
+	w.Key("threshold").Float(r.Threshold)
+	w.Key("samples").Int(int64(r.Samples))
+	w.Key("seed").Int(r.Seed)
+	w.Key("variation").Object()
+	w.Key("rSigma").Float(r.Variation.RSigma)
+	w.Key("cSigma").Float(r.Variation.CSigma)
+	w.EndObject()
+	w.Key("clipped").Int(int64(r.Clipped))
+	if r.WorstCorner != "" {
+		w.Key("worstCorner").String(r.WorstCorner)
+	}
+	w.Key("corners")
+	if len(r.Corners) == 0 {
+		w.Null()
+	} else {
+		w.Array()
+		for i := range r.Corners {
+			encodeCorner(w, &r.Corners[i])
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
-type jsonCornerResult struct {
-	Corner     Corner             `json:"corner"`
-	NominalWNS *float64           `json:"nominalWns,omitempty"`
-	NominalTNS float64            `json:"nominalTns"`
-	WNS        *Dist              `json:"wns,omitempty"`
-	TNS        Dist               `json:"tns"`
-	Endpoints  []jsonEndpointDist `json:"endpoints"`
+func encodeCorner(w *jsonw.Writer, cr *CornerResult) {
+	w.Object()
+	w.Key("corner").Object()
+	w.Key("name").String(cr.Corner.Name)
+	w.Key("rScale").Float(cr.Corner.RScale)
+	w.Key("cScale").Float(cr.Corner.CScale)
+	w.EndObject()
+	finiteField(w, "nominalWns", cr.NominalWNS)
+	w.Key("nominalTns").Float(cr.NominalTNS)
+	if cr.WNS != nil {
+		distField(w, "wns", cr.WNS)
+	}
+	distField(w, "tns", &cr.TNS)
+	w.Key("endpoints")
+	if len(cr.Endpoints) == 0 {
+		w.Null()
+	} else {
+		w.Array()
+		for i := range cr.Endpoints {
+			e := &cr.Endpoints[i]
+			w.Object()
+			w.Key("net").String(e.Net)
+			w.Key("output").String(e.Output)
+			finiteField(w, "required", e.Required)
+			w.Key("nominalArrival").Float(e.NominalArrival)
+			finiteField(w, "nominalSlack", e.NominalSlack)
+			distField(w, "arrival", &e.Arrival)
+			if e.Slack != nil {
+				distField(w, "slack", e.Slack)
+			}
+			w.Key("criticality").Float(e.Criticality)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
-type jsonReport struct {
-	Design      string             `json:"design,omitempty"`
-	Threshold   float64            `json:"threshold"`
-	Samples     int                `json:"samples"`
-	Seed        int64              `json:"seed"`
-	Variation   Variation          `json:"variation"`
-	Clipped     int                `json:"clipped"`
-	WorstCorner string             `json:"worstCorner,omitempty"`
-	Corners     []jsonCornerResult `json:"corners"`
-}
-
-// finitePtr maps +Inf (unconstrained) to nil for the JSON wire form.
-func finitePtr(v float64) *float64 {
+// finiteField writes key: v, leaving the member out when v is ±Inf
+// (unconstrained).
+func finiteField(w *jsonw.Writer, key string, v float64) {
 	if math.IsInf(v, 0) {
-		return nil
+		return
 	}
-	return &v
+	w.Key(key).Float(v)
 }
 
-func (r *Report) wire() jsonReport {
-	out := jsonReport{
-		Design: r.Design, Threshold: r.Threshold,
-		Samples: r.Samples, Seed: r.Seed,
-		Variation: r.Variation, Clipped: r.Clipped,
-		WorstCorner: r.WorstCorner,
-	}
-	for i := range r.Corners {
-		cr := &r.Corners[i]
-		jc := jsonCornerResult{
-			Corner:     cr.Corner,
-			NominalWNS: finitePtr(cr.NominalWNS),
-			NominalTNS: cr.NominalTNS,
-			WNS:        cr.WNS,
-			TNS:        cr.TNS,
-		}
-		for _, e := range cr.Endpoints {
-			jc.Endpoints = append(jc.Endpoints, jsonEndpointDist{
-				Net: e.Net, Output: e.Output,
-				Required:       finitePtr(e.Required),
-				NominalArrival: e.NominalArrival,
-				NominalSlack:   finitePtr(e.NominalSlack),
-				Arrival:        e.Arrival,
-				Slack:          e.Slack,
-				Criticality:    e.Criticality,
-			})
-		}
-		out.Corners = append(out.Corners, jc)
-	}
-	return out
+func distField(w *jsonw.Writer, key string, d *Dist) {
+	w.Key(key).Object()
+	w.Key("mean").Float(d.Mean)
+	w.Key("std").Float(d.Std)
+	w.Key("min").Float(d.Min)
+	w.Key("max").Float(d.Max)
+	w.Key("p50").Float(d.P50)
+	w.Key("p95").Float(d.P95)
+	w.Key("p99").Float(d.P99)
+	w.EndObject()
 }
 
-// WriteJSON emits the report as indented JSON with a stable schema.
+// WriteJSON emits the report as indented JSON with a stable schema (see
+// EncodeJSON), streamed to w. A report holding NaN or an infinite value
+// outside the omitted fields is refused before anything is written.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.wire()); err != nil {
+	if err := jsonw.Write(w, r.EncodeJSON); err != nil {
 		return fmt.Errorf("mcd: json: %w", err)
 	}
 	return nil
 }
 
-// MarshalJSON makes the report JSON-safe anywhere it is embedded (the
-// rcserve corners endpoint embeds it in its envelope).
+// MarshalJSON makes the report JSON-safe anywhere it is embedded.
 func (r *Report) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.wire())
+	return jsonw.Marshal(r.EncodeJSON)
 }

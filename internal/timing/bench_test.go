@@ -2,6 +2,7 @@ package timing
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
@@ -268,4 +269,33 @@ func BenchmarkDesignECO(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReportJSON encodes the chip report of a 20-level × 100-net random
+// design of 40-node trees (24k endpoints, K = 3 paths; the batch signoff
+// shape) with WriteJSON, the statime -format json path.
+func BenchmarkReportJSON(b *testing.B) {
+	cfg := randnet.DefaultDesignConfig(20, 100)
+	cfg.Net = randnet.DefaultConfig(40)
+	design := randnet.DesignSeed(1, cfg)
+	ctx := context.Background()
+	probe, err := Analyze(ctx, design, Options{Threshold: 0.7, Sequential: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := Analyze(ctx, design, Options{Threshold: 0.7, Required: 0.9 * probe.Endpoints[0].Arrival.Max, K: 3, Sequential: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink countWriter
+	if err := rep.WriteJSON(&sink); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(sink.n))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := rep.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

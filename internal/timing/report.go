@@ -2,7 +2,6 @@ package timing
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/jsonw"
 )
 
 // EndpointSlack is the timing record of one endpoint: a net output that
@@ -165,48 +165,85 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Wire shapes: +Inf is not representable in JSON, so required and slack ride
-// as pointers that are nil for unconstrained endpoints.
-type jsonEndpoint struct {
-	Net      string   `json:"net"`
-	Output   string   `json:"output"`
-	Arrival  Interval `json:"arrival"`
-	Required *float64 `json:"required,omitempty"`
-	Slack    *float64 `json:"slack,omitempty"`
-	Verdict  string   `json:"verdict"`
+// EncodeJSON writes the report's JSON form to w: the one walk behind
+// WriteJSON, MarshalJSON and the rcserve slack envelope. +Inf is not
+// representable in JSON, so an unconstrained required, slack or WNS is
+// omitted, and a zero stage delay is left out too. The schema:
+//
+//	{design?, threshold, nets, stages, levels, wns?, tns, passes, unknown,
+//	 fails, endpoints: [{net, output, arrival: {min, max}, required?,
+//	 slack?, verdict}], paths?: [{endpoint, slack?, hops: [{net, output,
+//	 inputArrival, netDelay, outputArrival, stageDelay?}]}]}
+//
+// An empty endpoint list or hop list is null.
+func (r *Report) EncodeJSON(w *jsonw.Writer) {
+	p, u, f := r.CountByVerdict()
+	w.Object()
+	if r.Design != "" {
+		w.Key("design").String(r.Design)
+	}
+	w.Key("threshold").Float(r.Threshold)
+	w.Key("nets").Int(int64(r.Nets))
+	w.Key("stages").Int(int64(r.Stages))
+	w.Key("levels").Int(int64(r.Levels))
+	finiteField(w, "wns", r.WNS)
+	w.Key("tns").Float(r.TNS)
+	w.Key("passes").Int(int64(p))
+	w.Key("unknown").Int(int64(u))
+	w.Key("fails").Int(int64(f))
+	w.Key("endpoints")
+	if len(r.Endpoints) == 0 {
+		w.Null()
+	} else {
+		w.Array()
+		for i := range r.Endpoints {
+			e := &r.Endpoints[i]
+			w.Object()
+			w.Key("net").String(e.Net)
+			w.Key("output").String(e.Output)
+			intervalField(w, "arrival", e.Arrival)
+			finiteField(w, "required", e.Required)
+			finiteField(w, "slack", e.Slack)
+			w.Key("verdict").String(e.Verdict.String())
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if len(r.Paths) > 0 {
+		w.Key("paths").Array()
+		for _, path := range r.Paths {
+			w.Object()
+			w.Key("endpoint").String(path.Endpoint)
+			finiteField(w, "slack", path.Slack)
+			w.Key("hops")
+			if len(path.Hops) == 0 {
+				w.Null()
+			} else {
+				w.Array()
+				for i := range path.Hops {
+					h := &path.Hops[i]
+					w.Object()
+					w.Key("net").String(h.Net)
+					w.Key("output").String(h.Output)
+					intervalField(w, "inputArrival", h.InputArrival)
+					intervalField(w, "netDelay", h.NetDelay)
+					intervalField(w, "outputArrival", h.OutputArrival)
+					if h.StageDelay != 0 {
+						w.Key("stageDelay").Float(h.StageDelay)
+					}
+					w.EndObject()
+				}
+				w.EndArray()
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
-type jsonHop struct {
-	Net           string   `json:"net"`
-	Output        string   `json:"output"`
-	InputArrival  Interval `json:"inputArrival"`
-	NetDelay      Interval `json:"netDelay"`
-	OutputArrival Interval `json:"outputArrival"`
-	StageDelay    float64  `json:"stageDelay,omitempty"`
-}
-
-type jsonPath struct {
-	Endpoint string    `json:"endpoint"`
-	Slack    *float64  `json:"slack,omitempty"`
-	Hops     []jsonHop `json:"hops"`
-}
-
-type jsonReport struct {
-	Design    string         `json:"design,omitempty"`
-	Threshold float64        `json:"threshold"`
-	Nets      int            `json:"nets"`
-	Stages    int            `json:"stages"`
-	Levels    int            `json:"levels"`
-	WNS       *float64       `json:"wns,omitempty"`
-	TNS       float64        `json:"tns"`
-	Passes    int            `json:"passes"`
-	Unknown   int            `json:"unknown"`
-	Fails     int            `json:"fails"`
-	Endpoints []jsonEndpoint `json:"endpoints"`
-	Paths     []jsonPath     `json:"paths,omitempty"`
-}
-
-// finitePtr maps +Inf (unconstrained) to nil for the JSON wire form.
+// finitePtr maps +Inf (unconstrained) to nil for the encoding/json wire
+// forms (EcoReport, ApplyResult).
 func finitePtr(v float64) *float64 {
 	if math.IsInf(v, 0) {
 		return nil
@@ -214,48 +251,33 @@ func finitePtr(v float64) *float64 {
 	return &v
 }
 
-// wire converts the report to its JSON shape.
-func (r *Report) wire() jsonReport {
-	p, u, f := r.CountByVerdict()
-	out := jsonReport{
-		Design: r.Design, Threshold: r.Threshold,
-		Nets: r.Nets, Stages: r.Stages, Levels: r.Levels,
-		WNS: finitePtr(r.WNS), TNS: r.TNS,
-		Passes: p, Unknown: u, Fails: f,
+// finiteField writes key: v, leaving the member out when v is ±Inf (an
+// unconstrained required time or slack).
+func finiteField(w *jsonw.Writer, key string, v float64) {
+	if math.IsInf(v, 0) {
+		return
 	}
-	for _, e := range r.Endpoints {
-		out.Endpoints = append(out.Endpoints, jsonEndpoint{
-			Net: e.Net, Output: e.Output, Arrival: e.Arrival,
-			Required: finitePtr(e.Required), Slack: finitePtr(e.Slack),
-			Verdict: e.Verdict.String(),
-		})
-	}
-	for _, path := range r.Paths {
-		jp := jsonPath{Endpoint: path.Endpoint, Slack: finitePtr(path.Slack)}
-		for _, h := range path.Hops {
-			jp.Hops = append(jp.Hops, jsonHop{
-				Net: h.Net, Output: h.Output,
-				InputArrival: h.InputArrival, NetDelay: h.NetDelay,
-				OutputArrival: h.OutputArrival, StageDelay: h.StageDelay,
-			})
-		}
-		out.Paths = append(out.Paths, jp)
-	}
-	return out
+	w.Key(key).Float(v)
 }
 
-// WriteJSON emits the report as indented JSON with a stable schema.
+func intervalField(w *jsonw.Writer, key string, iv Interval) {
+	w.Key(key).Object()
+	w.Key("min").Float(iv.Min)
+	w.Key("max").Float(iv.Max)
+	w.EndObject()
+}
+
+// WriteJSON emits the report as indented JSON with a stable schema (see
+// EncodeJSON), streamed to w. A report holding NaN or an infinite arrival
+// is refused before anything is written.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.wire()); err != nil {
+	if err := jsonw.Write(w, r.EncodeJSON); err != nil {
 		return fmt.Errorf("timing: json: %w", err)
 	}
 	return nil
 }
 
-// MarshalJSON makes the report JSON-safe anywhere it is embedded (the
-// rcserve design endpoints embed it in their envelopes).
+// MarshalJSON makes the report JSON-safe anywhere it is embedded.
 func (r *Report) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.wire())
+	return jsonw.Marshal(r.EncodeJSON)
 }

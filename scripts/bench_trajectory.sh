@@ -8,9 +8,10 @@
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
 #                           the corner sweep's in-place arena rescale vs
-#                           per-sample netlist rebuild, and the design deck
-#                           parser (median of 5 runs with min/max, bytes and
-#                           allocations per parse)
+#                           per-sample netlist rebuild, the design deck
+#                           parser and the chip/corner report JSON encoders
+#                           (median of 5 runs with min/max, bytes and
+#                           allocations per op)
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
 #                           timing (via scripts/serve_smoke.sh)
@@ -90,12 +91,15 @@ $(run_timing "$maxprocs")"
 else
     echo "bench_trajectory: single-core machine, skipping the all-cores run" >&2
 fi
-# The deck parser is sequential, so it runs at one P only, five times: its
-# entry records the median with the min/max spread.
+# The deck parser and the report JSON encoders are sequential, so they run
+# at one P only, five times: each entry records the median with the min/max
+# spread.
 raw="$raw
 GOMAXPROCS 1
 $(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkParseDesign' -benchmem \
-    -benchtime "$timing_benchtime" -count 5 ./internal/netlist/)"
+    -benchtime "$timing_benchtime" -count 5 ./internal/netlist/)
+$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkReportJSON|BenchmarkCornerReportJSON' -benchmem \
+    -benchtime "$timing_benchtime" -count 5 ./internal/timing/ ./internal/mcd/)"
 echo "$raw"
 printf '%s\n' "$raw" | awk -v date="$date" -v goversion="$goversion" -v maxprocs="$maxprocs" '
 $1 == "GOMAXPROCS" { mp = $2; if (mp > maxmp) maxmp = mp; next }
