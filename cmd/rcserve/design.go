@@ -403,13 +403,11 @@ func parseFloats(csv string) ([]float64, error) {
 
 // designCloseRequest is the POST /design/{id}/close body: the repair
 // budgets. All fields are optional (an empty body closes with the default
-// 32-move budget and no cost ceiling); sequential forces one-at-a-time
-// trial evaluation, which accepts the same moves, only slower.
+// 32-move budget and no cost ceiling).
 type designCloseRequest struct {
 	MaxMoves     int     `json:"maxMoves,omitempty"`
 	MaxCost      float64 `json:"maxCost,omitempty"`
 	TopEndpoints int     `json:"topEndpoints,omitempty"`
-	Sequential   bool    `json:"sequential,omitempty"`
 }
 
 // designCloseResponse answers with the closure report — accepted edits,
@@ -460,7 +458,6 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 		MaxMoves:     req.MaxMoves,
 		MaxCost:      req.MaxCost,
 		TopEndpoints: req.TopEndpoints,
-		Sequential:   req.Sequential,
 		Obs:          s.obs,
 	})
 	var walErr error
@@ -498,12 +495,11 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 // per-net derating. The analysis threshold and default required time are the
 // session's own, so the nominal typ corner agrees with GET /design/{id}/slack.
 type designCornersRequest struct {
-	Samples    int              `json:"samples,omitempty"`
-	Seed       int64            `json:"seed,omitempty"`
-	RSigma     float64          `json:"rSigma,omitempty"`
-	CSigma     float64          `json:"cSigma,omitempty"`
-	Corners    []rcdelay.Corner `json:"corners,omitempty"`
-	Sequential bool             `json:"sequential,omitempty"`
+	Samples int              `json:"samples,omitempty"`
+	Seed    int64            `json:"seed,omitempty"`
+	RSigma  float64          `json:"rSigma,omitempty"`
+	CSigma  float64          `json:"cSigma,omitempty"`
+	Corners []rcdelay.Corner `json:"corners,omitempty"`
 }
 
 // handleDesignCorners runs the multi-corner Monte Carlo sweep on the live
@@ -545,14 +541,13 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	report, err := rcdelay.AnalyzeCorners(r.Context(), design, rcdelay.CornerOptions{
-		Corners:    req.Corners,
-		Samples:    req.Samples,
-		Seed:       req.Seed,
-		Variation:  rcdelay.CornerVariation{RSigma: req.RSigma, CSigma: req.CSigma},
-		Threshold:  threshold,
-		Required:   required,
-		Sequential: req.Sequential,
-		Obs:        s.obs,
+		Corners:   req.Corners,
+		Samples:   req.Samples,
+		Seed:      req.Seed,
+		Variation: rcdelay.CornerVariation{RSigma: req.RSigma, CSigma: req.CSigma},
+		Threshold: threshold,
+		Required:  required,
+		Obs:       s.obs,
 	})
 	if err != nil {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)

@@ -262,6 +262,62 @@ func TestDesignSnapshotEvery(t *testing.T) {
 	}
 }
 
+// TestDesignSnapshotFailureKeepsEdit: once an edit's append is durable the
+// edit is committed, so a failing inline snapshot must not turn it into an
+// error (a client retry would apply the batch twice). The rotation is
+// retried on later appends and recovery sees every edit exactly once.
+func TestDesignSnapshotFailureKeepsEdit(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := walServer(t, dir)
+	srv.snapEvery = 4
+
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7, "required": 700})
+	_, created := serveJSON(t, srv, http.MethodPost, "/design", string(body))
+	id := created["id"].(string)
+	// A directory where the first rotation writes its snapshot makes that
+	// write fail with EISDIR.
+	blocker := filepath.Join(dir, id, "snap.2.ckt.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if code, resp := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/edit",
+			`{"edits": [`+crashEdit(i)+`]}`); code != http.StatusOK || resp["applied"].(float64) != 1 {
+			t.Fatalf("edit %d = %d: %v", i, code, resp)
+		}
+	}
+	if got := srv.obs.Counter("wal_snapshot_failures_total").Value(); got < 1 {
+		t.Fatalf("wal_snapshot_failures_total = %d, want >= 1", got)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if code, resp := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/edit",
+		`{"edits": [`+crashEdit(6)+`]}`); code != http.StatusOK {
+		t.Fatalf("edit 6 = %d: %v", code, resp)
+	}
+	if _, err := os.Stat(filepath.Join(dir, id, "snap.2.ckt")); err != nil {
+		t.Fatalf("rotation not retried once the blocker was gone: %v", err)
+	}
+	_, slackBody := serveJSON(t, srv, http.MethodGet, "/design/"+id+"/slack", "")
+	wantWNS, wantTNS, _ := slackNumbers(t, slackBody)
+
+	srv2, n := walServer(t, dir)
+	if n != 1 {
+		t.Fatalf("recovered %d designs, want 1", n)
+	}
+	_, info := serveJSON(t, srv2, http.MethodGet, "/design/"+id, "")
+	if got := info["edits"].(float64); got != 7 {
+		t.Errorf("recovered edit count = %v, want 7", got)
+	}
+	_, slackBody2 := serveJSON(t, srv2, http.MethodGet, "/design/"+id+"/slack", "")
+	gotWNS, gotTNS, _ := slackNumbers(t, slackBody2)
+	if math.Abs(gotWNS-wantWNS) > 1e-9 || math.Abs(gotTNS-wantTNS) > 1e-9 {
+		t.Errorf("recovered WNS/TNS (%g, %g), want (%g, %g)", gotWNS, gotTNS, wantWNS, wantTNS)
+	}
+}
+
 // TestSnapshotAllFoldsTails: the shutdown drain (and the periodic
 // snapshotter) folds every pending tail into a snapshot, so a clean restart
 // replays zero log lines.

@@ -101,6 +101,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -450,19 +451,24 @@ func newRequestID() string {
 
 // ServeHTTP is the telemetry middleware around the mux: every request gets
 // a correlation id (the inbound X-Request-Id when well-formed, minted
-// otherwise, echoed back either way), a trace root span (joining the
-// inbound W3C traceparent when one is sent), a per-route latency
-// observation, a per-route/status counter, and one structured log line
-// carrying both ids.
+// otherwise, echoed back either way), a per-route latency observation, a
+// per-route/status counter, and one structured log line. Requests outside
+// the operational routes also get a trace root span (joining the inbound
+// W3C traceparent when one is sent) whose id the log line carries; probes,
+// scrapes and /debug reads open none, so walking the flight recorder never
+// evicts the traces being walked.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	meta := &requestMeta{id: requestID(r)}
 	ctx := context.WithValue(r.Context(), metaKey{}, meta)
-	var tid trace.TraceID
-	var parent trace.SpanID
-	if tp := r.Header.Get("traceparent"); tp != "" {
-		tid, parent, _ = trace.ParseTraceparent(tp)
+	var span *trace.Span
+	if !operationalPath(r.URL.Path) {
+		var tid trace.TraceID
+		var parent trace.SpanID
+		if tp := r.Header.Get("traceparent"); tp != "" {
+			tid, parent, _ = trace.ParseTraceparent(tp)
+		}
+		ctx, span = s.tracer.StartRemote(ctx, "rcserve.request", tid, parent)
 	}
-	ctx, span := s.tracer.StartRemote(ctx, "rcserve.request", tid, parent)
 	span.SetAttr("method", r.Method)
 	span.SetAttr("path", r.URL.Path)
 	span.SetAttr("request_id", meta.id)
@@ -501,6 +507,16 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		logAttrs = append(logAttrs, "trace", traceID.String())
 	}
 	s.logger.Info("request", logAttrs...)
+}
+
+// operationalPath reports whether path is a liveness/readiness probe, the
+// metrics scrape or a /debug read: routes that are served untraced.
+func operationalPath(path string) bool {
+	switch path {
+	case "/healthz", "/readyz", "/metrics":
+		return true
+	}
+	return strings.HasPrefix(path, "/debug/")
 }
 
 // jobRequest is one network plus its evaluation requests, as posted by the

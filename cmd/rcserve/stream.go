@@ -108,7 +108,6 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 		MaxMoves:     req.MaxMoves,
 		MaxCost:      req.MaxCost,
 		TopEndpoints: req.TopEndpoints,
-		Sequential:   req.Sequential,
 		Obs:          s.obs,
 		Progress: func(ev rcdelay.ClosureProgress) {
 			sse.event("move", ev)

@@ -121,7 +121,6 @@ type spanNodeJSON struct {
 	Start      time.Time         `json:"start"`
 	DurationUs int64             `json:"durationUs"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
-	Events     []string          `json:"events,omitempty"`
 	Error      string            `json:"error,omitempty"`
 	Children   []*spanNodeJSON   `json:"children,omitempty"`
 }
@@ -147,9 +146,6 @@ func spanTree(t *trace.Trace) []*spanNodeJSON {
 			for _, a := range rec.Attrs {
 				n.Attrs[a.Key] = a.Value
 			}
-		}
-		for _, ev := range rec.Events {
-			n.Events = append(n.Events, fmt.Sprintf("%s @%s", ev.Msg, ev.Time.Sub(rec.Start)))
 		}
 		nodes[rec.SpanID] = n
 	}

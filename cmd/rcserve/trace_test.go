@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // traceNode mirrors the GET /debug/traces/{id} span-tree shape.
@@ -266,6 +268,52 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestOperationalRoutesUntraced: probes, scrapes and flight-recorder reads
+// open no trace, so walking /debug/traces cannot evict the traces being
+// walked; they are still counted in the request metrics.
+func TestOperationalRoutesUntraced(t *testing.T) {
+	srv := designServer()
+	srv.tracer = trace.New(trace.Options{Capacity: 4})
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7})
+	code, created := serveJSON(t, srv, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	traces := srv.tracer.Recent()
+	if len(traces) != 1 {
+		t.Fatalf("design request recorded %d traces, want 1", len(traces))
+	}
+	tid := traces[0].ID.String()
+
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/debug/traces", "/debug/traces/" + tid} {
+		for i := 0; i < 10; i++ {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			if w.Result().Header.Get("X-Request-Id") == "" {
+				t.Fatalf("GET %s: no X-Request-Id", path)
+			}
+		}
+	}
+
+	code, list := serveJSON(t, srv, http.MethodGet, "/debug/traces", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces = %d", code)
+	}
+	listed := false
+	for _, raw := range list["traces"].([]any) {
+		listed = listed || raw.(map[string]any)["id"] == tid
+	}
+	if !listed || list["count"].(float64) != 1 {
+		t.Errorf("trace list = %v, want only the design trace %s", list, tid)
+	}
+	if code, tree := serveJSON(t, srv, http.MethodGet, "/debug/traces/"+tid, ""); code != http.StatusOK {
+		t.Errorf("GET /debug/traces/%s = %d: %v", tid, code, tree)
+	}
+	if got := srv.obs.Counter("http_requests_total", "route", "GET /metrics", "code", "200").Value(); got != 10 {
+		t.Errorf(`http_requests_total{route="GET /metrics"} = %d, want 10`, got)
+	}
+}
+
 // TestLogFormats drives one request through text and JSON loggers and checks
 // the request line's shape, plus the flag validation newLogger performs.
 func TestLogFormats(t *testing.T) {
@@ -278,7 +326,8 @@ func TestLogFormats(t *testing.T) {
 		case "json":
 			srv.logger = slog.New(slog.NewJSONHandler(&buf, nil))
 		}
-		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+		// A traced route, so the line carries a trace id.
+		req := httptest.NewRequest(http.MethodGet, "/design/missing", nil)
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, req)
 		line := strings.TrimSpace(buf.String())
@@ -287,7 +336,7 @@ func TestLogFormats(t *testing.T) {
 		}
 		switch format {
 		case "text":
-			for _, want := range []string{"msg=request", "route=\"GET /healthz\"", "status=200", "trace="} {
+			for _, want := range []string{"msg=request", "route=\"GET /design/{id}\"", "status=404", "trace="} {
 				if !strings.Contains(line, want) {
 					t.Errorf("text line missing %s: %s", want, line)
 				}
@@ -297,7 +346,7 @@ func TestLogFormats(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				t.Fatalf("json log line did not decode: %v\n%s", err, line)
 			}
-			if rec["msg"] != "request" || rec["route"] != "GET /healthz" || rec["status"] != float64(200) {
+			if rec["msg"] != "request" || rec["route"] != "GET /design/{id}" || rec["status"] != float64(404) {
 				t.Errorf("json line = %v", rec)
 			}
 			if tid, _ := rec["trace"].(string); len(tid) != 32 {
@@ -351,7 +400,7 @@ func TestTraceSlowPinning(t *testing.T) {
 		t.Fatalf("client error pinned %d traces", n)
 	}
 	for i := 0; i < 70; i++ { // churn past the default 64-trace recent ring
-		serveJSON(t, srv, http.MethodGet, "/healthz", "")
+		serveJSON(t, srv, http.MethodGet, "/design/missing", "")
 	}
 	if got := len(srv.tracer.Recent()); got != 64 {
 		t.Errorf("recent ring = %d traces, want 64", got)

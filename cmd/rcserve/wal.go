@@ -55,7 +55,9 @@ func (s *server) walCreate(ent *entry[*designSession], design *rcdelay.Design) e
 // order is apply order; the append fsyncs before the client sees its
 // response. When the log grows past -snapshot-every edits the session is
 // snapshotted inline (one materialize + atomic rename) so replay length
-// stays bounded.
+// stays bounded. Once the append is durable the batch is committed, so a
+// failed snapshot is logged and counted, not returned: the log still holds
+// every edit, and the next append retries the rotation.
 func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdelay.DesignEdit) error {
 	if ds.wlog == nil || len(edits) == 0 {
 		return nil
@@ -64,7 +66,10 @@ func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdel
 		return err
 	}
 	if s.snapEvery > 0 && ds.wlog.Pending() >= s.snapEvery {
-		return s.walSnapshotLocked(ctx, ds)
+		if err := s.walSnapshotLocked(ctx, ds); err != nil {
+			s.count("wal_snapshot_failures_total", 1)
+			s.logger.Error("rcserve: inline snapshot", "err", err)
+		}
 	}
 	return nil
 }

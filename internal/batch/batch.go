@@ -81,10 +81,9 @@ const DefaultCacheSize = 4096
 // Engine is a reusable batch-analysis engine: a worker pool plus a shared
 // memoization cache. Engines are safe for concurrent use; a single Engine
 // should be shared so independent callers benefit from each other's cache
-// entries. The worker bound is engine-wide: concurrent Run and Stream
-// calls share the same slots, so total CPU-bound concurrency never
-// exceeds Workers no matter how many callers are active (excess jobs
-// queue).
+// entries. The worker bound is engine-wide: concurrent Run calls share
+// the same slots, so total CPU-bound concurrency never exceeds Workers no
+// matter how many callers are active (excess jobs queue).
 type Engine struct {
 	workers int
 	slots   chan struct{} // engine-wide concurrency permits, cap == workers
@@ -163,78 +162,6 @@ feedLoop:
 	close(feed)
 	wg.Wait()
 	return results
-}
-
-// Stream analyzes jobs as they arrive on in and emits results on the
-// returned channel in submission order: the n'th result answers the n'th
-// job received, no matter which worker finished first. The result channel
-// closes once in is closed and drained (or ctx is canceled; remaining jobs
-// are then drained and answered with Err = ctx.Err()).
-func (e *Engine) Stream(ctx context.Context, in <-chan Job) <-chan Result {
-	type seqJob struct {
-		seq int
-		job Job
-	}
-	feed := make(chan seqJob)
-	done := make(chan Result)
-	out := make(chan Result)
-
-	// Dispatcher: stamp arrival order onto each job.
-	go func() {
-		defer close(feed)
-		seq := 0
-		for job := range in {
-			select {
-			case feed <- seqJob{seq, job}:
-			case <-ctx.Done():
-				done <- Result{Index: seq, Tag: job.Tag, Err: ctx.Err()}
-			}
-			seq++
-		}
-	}()
-
-	// Workers.
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			analyzer := core.NewAnalyzer()
-			for sj := range feed {
-				e.slots <- struct{}{}
-				r := e.process(analyzer, sj.seq, sj.job)
-				<-e.slots
-				done <- r
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Collector: reorder completions back into submission order. Every
-	// stamped sequence number produces exactly one result on done (via a
-	// worker, or via the dispatcher's cancellation branch) before done
-	// closes, so pending always drains to empty here.
-	go func() {
-		defer close(out)
-		pending := map[int]Result{}
-		next := 0
-		for r := range done {
-			pending[r.Index] = r
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- head
-				next++
-			}
-		}
-	}()
-	return out
 }
 
 // process runs one job on one worker. The analyzer is worker-private; the

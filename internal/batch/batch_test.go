@@ -63,36 +63,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamOrdering feeds jobs through the streaming API and checks that
-// results come back in submission order even with a racing worker pool.
-func TestStreamOrdering(t *testing.T) {
-	jobs := randomJobs(150, 2)
-	want := sequentialResults(t, jobs)
-	eng := New(Options{Workers: 4})
-	in := make(chan Job)
-	go func() {
-		defer close(in)
-		for _, j := range jobs {
-			in <- j
-		}
-	}()
-	i := 0
-	for got := range eng.Stream(context.Background(), in) {
-		if got.Index != i {
-			t.Fatalf("stream emitted index %d at position %d", got.Index, i)
-		}
-		got.CacheHit = want[i].CacheHit
-		got.Key = want[i].Key
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("stream result %d differs:\n got %+v\nwant %+v", i, got, want[i])
-		}
-		i++
-	}
-	if i != len(jobs) {
-		t.Fatalf("stream emitted %d results, want %d", i, len(jobs))
-	}
-}
-
 // TestCacheHits submits the same network many times — built with different
 // node names and sibling orders — and checks that only one computation is
 // paid for.

@@ -64,7 +64,7 @@ func BenchmarkClosure(b *testing.B) {
 	base := Options{MaxMoves: 6, TopEndpoints: 4, ConeDepth: 4}
 	b.Run("sequential", func(b *testing.B) {
 		o := base
-		o.Sequential = true
+		o.Concurrency = 1
 		run(b, o)
 	})
 	b.Run("concurrent", func(b *testing.B) {

@@ -46,12 +46,10 @@ type Options struct {
 	// ConeDepth caps how many nets of each endpoint's critical upstream
 	// cone generate candidates (0 means 4).
 	ConeDepth int
-	// Concurrency bounds the trial-evaluation workers (0 means GOMAXPROCS).
+	// Concurrency bounds the trial-evaluation workers (0 means GOMAXPROCS;
+	// 1 evaluates trials one at a time on the caller's goroutine). The
+	// accepted move sequence is identical at every setting.
 	Concurrency int
-	// Sequential forces one-at-a-time trial evaluation. The accepted move
-	// sequence is identical either way; the knob exists for benchmarking
-	// and debugging.
-	Sequential bool
 	// Obs receives run telemetry: moves generated/trialed/accepted, fork
 	// counts, run spans, and the live WNS/TNS/cost gauges. Nil disables it.
 	Obs *obs.Registry
@@ -123,9 +121,6 @@ func (o Options) resolve() Options {
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = runtime.GOMAXPROCS(0)
-	}
-	if o.Sequential {
-		o.Concurrency = 1
 	}
 	return o
 }

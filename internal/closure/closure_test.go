@@ -200,7 +200,7 @@ func TestClosurePropertyRandomDesigns(t *testing.T) {
 		base := Options{Timing: topt, MaxMoves: 5, TopEndpoints: 3, ConeDepth: 3}
 
 		seqOpt := base
-		seqOpt.Sequential = true
+		seqOpt.Concurrency = 1
 		seq, err := CloseDesign(context.Background(), d, seqOpt)
 		if err != nil {
 			t.Fatalf("seed %d sequential: %v", seed, err)
@@ -398,7 +398,7 @@ func TestClosureCorners(t *testing.T) {
 	base := Options{Timing: topt, MaxMoves: 64, Corners: mcd.DefaultCorners()}
 
 	seqOpt := base
-	seqOpt.Sequential = true
+	seqOpt.Concurrency = 1
 	rep, err := CloseDesign(context.Background(), d, seqOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +508,7 @@ func TestClosureCornersMineFromCorner(t *testing.T) {
 	}
 	topt := timing.Options{Threshold: 0.7, Sequential: true}
 	rep, err := CloseDesign(context.Background(), d, Options{
-		Timing: topt, Sequential: true, MaxMoves: 64, Corners: mcd.DefaultCorners(),
+		Timing: topt, Concurrency: 1, MaxMoves: 64, Corners: mcd.DefaultCorners(),
 	})
 	if err != nil {
 		t.Fatal(err)

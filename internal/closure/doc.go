@@ -15,7 +15,7 @@
 // move budget or cost ceiling is exhausted, or no candidate improves timing.
 //
 // Trials are independent, so they evaluate concurrently across a worker
-// pool by default; Options.Sequential forces one-at-a-time evaluation.
+// pool by default; Options.Concurrency = 1 forces one-at-a-time evaluation.
 // Either way the accepted move sequence is identical: every trial computes
 // the same numbers regardless of scheduling, and the argmax tie-breaks on
 // candidate index. BenchmarkClosure measures the concurrency win.

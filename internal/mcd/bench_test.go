@@ -32,7 +32,7 @@ func BenchmarkCornerSweep(b *testing.B) {
 		}
 		opt := Options{
 			Samples: samples, Seed: 1, Variation: v, Corners: corners,
-			Threshold: th, Required: req, Sequential: true,
+			Threshold: th, Required: req, Workers: 1,
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -72,7 +72,7 @@ func BenchmarkCornerReportJSON(b *testing.B) {
 	d := randnet.DesignSeed(1, randnet.DefaultDesignConfig(6, 40))
 	rep, err := Analyze(context.Background(), d, Options{
 		Samples: 16, Seed: 1, Variation: Variation{RSigma: 0.05, CSigma: 0.05},
-		Threshold: 0.7, Required: 300, Sequential: true,
+		Threshold: 0.7, Required: 300, Workers: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

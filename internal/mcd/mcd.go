@@ -92,10 +92,9 @@ type Options struct {
 	// Required is the default required arrival time for endpoints without an
 	// explicit .require card; <= 0 leaves them unconstrained.
 	Required float64
-	// Workers caps sweep parallelism; 0 means GOMAXPROCS.
+	// Workers caps sweep parallelism; 0 means GOMAXPROCS, 1 sweeps the
+	// samples one at a time on a single VarArena.
 	Workers int
-	// Sequential forces the whole sweep onto the caller's goroutine.
-	Sequential bool
 	// Obs receives per-corner sweep spans; nil disables telemetry.
 	Obs *obs.Registry
 }
@@ -207,9 +206,6 @@ func (opt Options) resolve() (Options, error) {
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Sequential {
-		opt.Workers = 1
 	}
 	return opt, nil
 }

@@ -54,7 +54,7 @@ func TestCornerSweepMatchesFullReanalysis(t *testing.T) {
 		d := testDesign(t, seed, 4, 2)
 		rep, err := Analyze(ctx, d, Options{
 			Samples: samples, Seed: seed, Variation: v,
-			Threshold: th, Required: req, Sequential: true,
+			Threshold: th, Required: req, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		Threshold: 0.55, Required: 500,
 	}
 	base := opt
-	base.Sequential = true
+	base.Workers = 1
 	want, err := Analyze(context.Background(), d, base)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestCriticalityIsDistribution(t *testing.T) {
 	d := testDesign(t, 3, 4, 3)
 	rep, err := Analyze(context.Background(), d, Options{
 		Samples: 40, Seed: 9, Variation: Variation{RSigma: 0.1, CSigma: 0.1},
-		Required: 400, Sequential: true,
+		Required: 400, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestCriticalityIsDistribution(t *testing.T) {
 // the count is nonzero and identical whatever the corner list.
 func TestClippedSharedAcrossCorners(t *testing.T) {
 	d := testDesign(t, 4, 3, 2)
-	high := Options{Samples: 50, Seed: 2, Variation: Variation{RSigma: 0.9, CSigma: 0.9}, Required: 300, Sequential: true}
+	high := Options{Samples: 50, Seed: 2, Variation: Variation{RSigma: 0.9, CSigma: 0.9}, Required: 300, Workers: 1}
 	rep, err := Analyze(context.Background(), d, high)
 	if err != nil {
 		t.Fatal(err)

@@ -187,7 +187,7 @@ func TestReportJSONOracle(t *testing.T) {
 		cfg.Net = randnet.DefaultConfig(4 + rng.Intn(8))
 		d := randnet.Design(rng, cfg)
 		th := 0.3 + 0.6*rng.Float64()
-		opt := Options{Samples: 1 + rng.Intn(6), Seed: rng.Int63n(100) - 50, Threshold: th, Sequential: true}
+		opt := Options{Samples: 1 + rng.Intn(6), Seed: rng.Int63n(100) - 50, Threshold: th, Workers: 1}
 		if rng.Intn(2) == 0 {
 			opt.Variation = Variation{RSigma: 0.2 * rng.Float64(), CSigma: 0.2 * rng.Float64()}
 		}
@@ -195,7 +195,7 @@ func TestReportJSONOracle(t *testing.T) {
 			opt.Corners = []Corner{{Name: "slow\u2028", RScale: 1.3, CScale: 1.2}, {Name: "t<y>p", RScale: 1, CScale: 1}}
 		}
 		if i%4 != 0 {
-			probe, err := Analyze(ctx, d, Options{Samples: 1, Threshold: th, Sequential: true})
+			probe, err := Analyze(ctx, d, Options{Samples: 1, Threshold: th, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

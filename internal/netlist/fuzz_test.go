@@ -3,7 +3,6 @@ package netlist
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -209,12 +208,12 @@ func FuzzParseDesign(f *testing.F) {
 	})
 }
 
-// FuzzArenaRoundTrip pins the flat-arena encoding against the parser's full
-// input space: for every tree the parser accepts, arena build →
-// materialize → rebuild must be lossless and idempotent, with characteristic
-// times preserved exactly (the arena pass and the tree pass share iteration
-// order, so the sums match bit for bit).
-func FuzzArenaRoundTrip(f *testing.F) {
+// FuzzTimesFlat pins the flat-array pass against the parser's full input
+// space: for every tree the parser accepts, rctree.TimesFlat over the tree
+// laid out as columns must reproduce the characteristic times exactly (the
+// flat pass and the tree pass share iteration order, so the sums match bit
+// for bit).
+func FuzzTimesFlat(f *testing.F) {
 	seeds := []string{
 		fig7Deck,
 		".input a\nR1 a b 1\nC1 b 0 2p\n.output b\n",
@@ -230,14 +229,16 @@ func FuzzArenaRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		a := rctree.NewArena(tree)
-		back, err := a.Materialize()
-		if err != nil {
-			t.Fatalf("materialize failed for accepted tree: %v\ndeck:\n%s", err, src)
-		}
-		a2 := rctree.NewArena(back)
-		if !reflect.DeepEqual(a, a2) {
-			t.Fatalf("arena round trip not idempotent:\n%s", src)
+		n := tree.NumNodes()
+		parent := make([]int32, n)
+		kind := make([]uint8, n)
+		edgeR, edgeC, nodeC := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			id := rctree.NodeID(i)
+			k, r, c := tree.Edge(id)
+			parent[i] = int32(tree.Parent(id))
+			kind[i], edgeR[i], edgeC[i] = uint8(k), r, c
+			nodeC[i] = tree.NodeCap(id)
 		}
 		var s rctree.Scratch
 		for _, e := range tree.Outputs() {
@@ -245,12 +246,12 @@ func FuzzArenaRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.TimesInto(int32(e), &s)
+			got, err := rctree.TimesFlat(parent, kind, edgeR, edgeC, nodeC, int(e), &s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("arena times diverged at output %d: %+v vs %+v\ndeck:\n%s", e, got, want, src)
+				t.Fatalf("flat times diverged at output %d: %+v vs %+v\ndeck:\n%s", e, got, want, src)
 			}
 		}
 	})

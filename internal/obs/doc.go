@@ -1,6 +1,6 @@
 // Package obs is the repository's zero-dependency telemetry layer: a
-// metrics registry (counters, gauges, fixed-bucket histograms with
-// p50/p95/p99 snapshots), threaded through the timing core, the closure
+// metrics registry (counters, gauges, fixed-bucket histograms, all exposed
+// in Prometheus text format), threaded through the timing core, the closure
 // engine, the batch pool, and the rcserve HTTP surface.
 //
 // # Registry

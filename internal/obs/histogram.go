@@ -85,54 +85,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation inside
-// the containing bucket, the standard Prometheus histogram_quantile
-// estimate. It is the bucketed counterpart of the repo-wide exact-sample
-// convention in internal/stats (R-7 linear interpolation, used by mc, mcd
-// and rcload): both interpolate linearly, but this one only sees bucket
-// boundaries, so it converges to stats.Quantile as buckets narrow. Empty
-// histograms return NaN; observations in the +Inf overflow bucket clamp to
-// the highest finite bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	var total uint64
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(s.Buckets) { // +Inf bucket: clamp
-			if len(s.Buckets) == 0 {
-				return math.NaN()
-			}
-			return s.Buckets[len(s.Buckets)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Buckets[i-1]
-		}
-		return lo + (s.Buckets[i]-lo)*(rank-prev)/float64(c)
-	}
-	if len(s.Buckets) == 0 {
-		return math.NaN()
-	}
-	return s.Buckets[len(s.Buckets)-1]
-}
-
-// P50, P95, P99 are the snapshot's headline latency quantiles.
-func (s HistogramSnapshot) P50() float64 { return s.Quantile(0.50) }
-
-// P95 estimates the 95th percentile.
-func (s HistogramSnapshot) P95() float64 { return s.Quantile(0.95) }
-
-// P99 estimates the 99th percentile.
-func (s HistogramSnapshot) P99() float64 { return s.Quantile(0.99) }

@@ -6,57 +6,6 @@ import (
 	"testing"
 )
 
-// TestQuantileEdgeCases pins the corners of the bucketed estimator that the
-// happy-path tests in registry_test.go don't reach: out-of-range q on both
-// sides, the q=0 and q=1 boundaries, a single-bucket ladder, and a snapshot
-// whose only mass sits in the implicit +Inf bucket of a bucket-less series.
-func TestQuantileEdgeCases(t *testing.T) {
-	reg := NewRegistry()
-
-	h := reg.Histogram("edge", []float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(3)
-	}
-	s := h.Snapshot()
-	if got := s.Quantile(1.1); !math.IsNaN(got) {
-		t.Errorf("q>1 = %v, want NaN", got)
-	}
-	if got := s.Quantile(math.Inf(1)); !math.IsNaN(got) {
-		t.Errorf("q=+Inf = %v, want NaN", got)
-	}
-	// q=0 lands at the lower edge of the first occupied bucket.
-	if got := s.Quantile(0); got != 0 {
-		t.Errorf("q=0 = %v, want 0", got)
-	}
-	// q=1 lands at the upper bound of the last occupied bucket.
-	if got := s.Quantile(1); math.Abs(got-4) > 1e-9 {
-		t.Errorf("q=1 = %v, want 4", got)
-	}
-
-	// Single-bucket ladder: everything interpolates inside [0, bound].
-	h1 := reg.Histogram("edge_one", []float64{10})
-	for i := 0; i < 4; i++ {
-		h1.Observe(5)
-	}
-	if got := h1.Snapshot().Quantile(0.5); math.Abs(got-5) > 1e-9 {
-		t.Errorf("single-bucket p50 = %v, want 5", got)
-	}
-	// Overflow in a single-bucket ladder clamps to that one bound.
-	h1.Observe(1e6)
-	if got := h1.Snapshot().Quantile(0.99); got != 10 {
-		t.Errorf("single-bucket overflow p99 = %v, want 10", got)
-	}
-
-	// A snapshot with mass but no finite buckets has nothing to clamp to.
-	noBuckets := HistogramSnapshot{Counts: []uint64{7}, Count: 7}
-	if got := noBuckets.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("bucket-less p50 = %v, want NaN", got)
-	}
-}
-
 // TestHistogramObserveSnapshotRace hammers one histogram with concurrent
 // observers — all adding the same value, to maximize contention on the
 // CAS-updated sum — while other goroutines snapshot it continuously. Run

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -99,56 +100,35 @@ zeta_total 9
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
+// TestHistogramSnapshot pins the bucket placement Snapshot reports and
+// WritePrometheus renders: upper bounds are inclusive, overflow lands in the
+// trailing +Inf count, and NaN observations are dropped.
+func TestHistogramSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", []float64{1, 2, 4, 8})
-	// 100 observations uniform in (0,1]: all land in the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5)
+	for i := 0; i < 50; i++ {
+		h.Observe(0.5) // bucket <=1
 	}
+	for i := 0; i < 49; i++ {
+		h.Observe(3) // bucket <=4
+	}
+	h.Observe(4)   // an upper bound is inclusive
+	h.Observe(100) // +Inf overflow
 	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
+	if s.Count != 101 {
+		t.Fatalf("count = %d, want 101", s.Count)
 	}
-	// All mass in bucket (0,1]: p50 interpolates to 0.5 within [0,1].
-	if got := s.P50(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 0.5", got)
+	if want := []uint64{50, 0, 50, 0, 1}; !reflect.DeepEqual(s.Counts, want) {
+		t.Fatalf("counts = %v, want %v", s.Counts, want)
 	}
-
-	h2 := reg.Histogram("lat2", []float64{1, 2, 4, 8})
-	for i := 0; i < 50; i++ {
-		h2.Observe(0.5) // bucket <=1
-	}
-	for i := 0; i < 50; i++ {
-		h2.Observe(3) // bucket <=4
-	}
-	s2 := h2.Snapshot()
-	// p95: rank 95 of 100, 50 below 1, 50 in (2,4] => 2 + 2*(95-50)/50 = 3.8
-	if got := s2.P95(); math.Abs(got-3.8) > 1e-9 {
-		t.Fatalf("p95 = %v, want 3.8", got)
-	}
-	if got := s2.P99(); math.Abs(got-3.96) > 1e-9 {
-		t.Fatalf("p99 = %v, want 3.96", got)
+	if want := 0.5*50 + 3*49 + 4 + 100; math.Abs(s.Sum-want) > 1e-9 {
+		t.Fatalf("sum = %v, want %v", s.Sum, want)
 	}
 
-	// Overflow clamps to the top finite bound.
-	h3 := reg.Histogram("lat3", []float64{1, 2})
-	h3.Observe(100)
-	if got := h3.Snapshot().P99(); got != 2 {
-		t.Fatalf("overflow p99 = %v, want clamp to 2", got)
-	}
-
-	// Empty histogram: NaN.
-	h4 := reg.Histogram("lat4", []float64{1})
-	if got := h4.Snapshot().P50(); !math.IsNaN(got) {
-		t.Fatalf("empty p50 = %v, want NaN", got)
-	}
-	if got := h4.Snapshot().Quantile(-0.1); !math.IsNaN(got) {
-		t.Fatalf("q<0 = %v, want NaN", got)
-	}
 	// NaN observations are dropped.
-	h4.Observe(math.NaN())
-	if got := h4.Snapshot().Count; got != 0 {
+	h2 := reg.Histogram("lat2", []float64{1})
+	h2.Observe(math.NaN())
+	if got := h2.Snapshot().Count; got != 0 {
 		t.Fatalf("NaN observation recorded: count = %d", got)
 	}
 }

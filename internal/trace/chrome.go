@@ -27,7 +27,7 @@ type chromeFile struct {
 // WriteChrome renders the traces as Chrome trace-event JSON. Each trace
 // becomes one pid (1-based, in slice order); within a trace each span gets a
 // tid equal to its depth in the span tree so lanes nest visually, and the
-// span's attributes, events, and error land in args. Timestamps are offset
+// span's attributes and error land in args. Timestamps are offset
 // from the earliest span start across all traces, so the export is stable
 // for fixed inputs.
 func WriteChrome(w io.Writer, traces []*Trace) error {
@@ -52,9 +52,6 @@ func WriteChrome(w io.Writer, traces []*Trace) error {
 			}
 			for _, a := range sp.Attrs {
 				args[a.Key] = a.Value
-			}
-			for _, ev := range sp.Events {
-				args["event:"+ev.Msg] = ev.Time.Sub(sp.Start).String()
 			}
 			if sp.Err != "" {
 				args["error"] = sp.Err

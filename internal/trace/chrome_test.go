@@ -30,8 +30,7 @@ func TestChromeGolden(t *testing.T) {
 			{
 				SpanID: child, Parent: root, Name: "wal_append",
 				Start: base.Add(1 * time.Millisecond), Duration: 2 * time.Millisecond,
-				Attrs:  []Attr{{Key: "edits", Value: "3"}},
-				Events: []Event{{Time: base.Add(1500 * time.Microsecond), Msg: "synced"}},
+				Attrs: []Attr{{Key: "edits", Value: "3"}},
 			},
 			{
 				SpanID: root, Name: "request",
@@ -70,7 +69,6 @@ func TestChromeGolden(t *testing.T) {
    "tid": 1,
    "args": {
     "edits": "3",
-    "event:synced": "500µs",
     "parent_id": "0100000000000001",
     "span_id": "0100000000000002",
     "trace_id": "4bf92f3577b34da6a3ce929d0e0e4736"

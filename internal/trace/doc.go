@@ -10,8 +10,8 @@
 //
 // A Tracer mints traces (Tracer.Start, or Tracer.StartRemote to join an
 // inbound traceparent). The root *Span travels by context; engine phases open
-// children with StartSpan / StartOp, annotate them with SetAttr/Event/
-// SetError, and End them. Ending the root seals the trace and hands it to the
+// children with StartSpan / StartOp, annotate them with SetAttr/SetError,
+// and End them. Ending the root seals the trace and hands it to the
 // flight recorder. All of it is nil-safe: a nil Tracer, a nil *Span from an
 // untraced context, and a nil *Op all make every call a no-op, so the
 // disabled path costs one context lookup and one pointer test.

@@ -45,7 +45,7 @@ func StartOp(ctx context.Context, reg *obs.Registry, name string, labels ...stri
 }
 
 // Span exposes the trace half (nil when the request is untraced) for extra
-// attributes or events.
+// attributes.
 func (o *Op) Span() *Span {
 	if o == nil {
 		return nil

@@ -90,12 +90,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Event is one timestamped point annotation inside a span.
-type Event struct {
-	Time time.Time `json:"time"`
-	Msg  string    `json:"msg"`
-}
-
 // SpanRecord is one completed span as retained by the flight recorder.
 // Parent is the zero SpanID for the trace's root (or, on a joined remote
 // trace, the remote caller's span id, which also resolves to no local span).
@@ -106,7 +100,6 @@ type SpanRecord struct {
 	Start    time.Time
 	Duration time.Duration
 	Attrs    []Attr
-	Events   []Event
 	Err      string // non-empty when the span was marked failed
 }
 
@@ -204,11 +197,10 @@ type Span struct {
 	start  time.Time
 	root   bool
 
-	mu     sync.Mutex // guards attrs/events: callbacks may annotate cross-goroutine
-	attrs  []Attr
-	events []Event
-	err    string
-	ended  atomic.Bool
+	mu    sync.Mutex // guards attrs/err: callbacks may annotate cross-goroutine
+	attrs []Attr
+	err   string
+	ended atomic.Bool
 }
 
 // TraceID reports the id of the trace the span belongs to (zero on nil).
@@ -234,16 +226,6 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
-}
-
-// Event records a timestamped point annotation.
-func (s *Span) Event(msg string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.events = append(s.events, Event{Time: time.Now(), Msg: msg})
 	s.mu.Unlock()
 }
 
@@ -275,7 +257,6 @@ func (s *Span) End() {
 		Start:    s.start,
 		Duration: now.Sub(s.start),
 		Attrs:    s.attrs,
-		Events:   s.events,
 		Err:      s.err,
 	}
 	s.mu.Unlock()

@@ -355,8 +355,8 @@ type (
 	// pass one via DesignOptions.Obs, ClosureOptions.Obs or BatchOptions.Obs.
 	// A nil registry disables telemetry at the cost of a pointer test.
 	MetricsRegistry = obs.Registry
-	// MetricsHistogram is one fixed-bucket histogram series with
-	// p50/p95/p99 snapshots.
+	// MetricsHistogram is one fixed-bucket histogram series, exposed as
+	// Prometheus _bucket/_sum/_count lines.
 	MetricsHistogram = obs.Histogram
 )
 

@@ -5,7 +5,9 @@
 #      concurrency levels (mixed edit/slack/close traffic), recording
 #      per-operation p50/p99 latencies and the final WNS/TNS of every design;
 #   2. check the flight recorder: /debug/traces must list traces from the
-#      load traffic and one must export as Chrome trace events;
+#      load traffic, every listed trace must resolve (reading the recorder
+#      must not evict what it lists), and one must export as Chrome trace
+#      events;
 #   3. kill -9 the server mid-flight state (no drain, no final snapshot);
 #   4. restart it on the same data dir and verify every design recovered —
 #      same WNS/TNS to 1e-9, same edit count — timing the recovery lookups.
@@ -62,7 +64,18 @@ grep -q '"id"' "$work/traces.json" || {
     echo "serve_smoke: /debug/traces recorded no traces after the load suites" >&2
     exit 1
 }
-tid="$(sed -n 's/.*"id": *"\([0-9a-f]\{32\}\)".*/\1/p' "$work/traces.json" | head -1)"
+ids="$(sed -n 's/.*"id": *"\([0-9a-f]\{32\}\)".*/\1/p' "$work/traces.json")"
+n=0
+for id in $ids; do
+    code="$(curl -s -o /dev/null -w '%{http_code}' "$addr/debug/traces/$id")"
+    if [ "$code" != 200 ]; then
+        echo "serve_smoke: listed trace $id answered $code" >&2
+        exit 1
+    fi
+    n=$((n + 1))
+done
+echo "serve_smoke: all $n listed traces resolve"
+tid="$(echo "$ids" | head -1)"
 curl -sf "$addr/debug/traces/$tid?format=chrome" | grep -q '"traceEvents"' || {
     echo "serve_smoke: trace $tid did not export as Chrome trace events" >&2
     exit 1
